@@ -11,12 +11,9 @@ from .family import (AdmissibilityCertificate, BetaRow, DegenerateFamily,
                      omega, q_poly, reduce_representation, spec_from_json,
                      spec_from_json_dict, spec_to_json)
 from .forms import (BilinearForm, KappaMatrix, OrthoReport, VariantError,
-                    closed_form_moment, inner_generic, inner_xi, kappa_matrix,
-                    kappa_solve, ortho_check, u_function, u_function_alt,
-                    xi_u_function)
-from .laguerre import (LaguerreCache, laguerre, laguerre_connection,
-                       laguerre_deriv_at_zero, laguerre_weight_moment,
-                       monomial_moment)
+                    closed_form_moment, kappa_matrix, kappa_solve, ortho_check,
+                    u_function, u_function_alt, xi_u_function)
+from .laguerre import laguerre
 from .linalg import InconsistentSystem, LinearSolution, solve_linear
 from .parsing import ParseError, parse_poly
 from .poly import LaurentPoly, Poly, Rat, as_rat, rat_str, render
@@ -35,17 +32,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityCertificate", "AlgebraProbeResult", "BetaRow",
     "BilinearForm", "DegenerateFamily", "FamilySpec", "InconsistentSystem",
-    "InvalidPreset", "KappaMatrix", "LaguerreCache", "LaurentPoly",
+    "InvalidPreset", "KappaMatrix", "LaurentPoly",
     "LinearSolution", "ObstructionResult", "OrthoReport", "ParseError",
     "Poly", "PoleError", "Rat", "RecurrenceTable", "RhoRecurrenceResult",
     "ThreeTermResult", "VariantError", "algebra_probe", "as_rat", "beta",
     "binom_rat", "casoratian", "certify_admissible", "closed_form_moment",
     "combinatorial_identity_check",
     "degenerate_preset", "expand_in_q", "from_binomial_basis", "gamma_ratio",
-    "inner_generic", "inner_xi", "kappa_matrix", "kappa_solve",
-    "krall_preset", "laguerre", "laguerre_connection",
-    "laguerre_deriv_at_zero", "laguerre_weight_moment",
-    "match_krall_parameters", "monomial_moment", "obstruction_test", "omega",
+    "kappa_matrix", "kappa_solve", "krall_preset", "laguerre",
+    "match_krall_parameters", "obstruction_test", "omega",
     "ortho_check", "parse_poly", "poch", "q_poly", "rat_str",
     "recurrence_table", "reduce_representation", "render", "reverify_probe",
     "rho_bound", "rho_recurrence", "solve_linear", "spec_from_json",

@@ -173,6 +173,8 @@ def cmd_ortho(cfg: RunConfig) -> int:
 def cmd_recur(cfg: RunConfig) -> int:
     if cfg.Q is None:
         raise CliError("recur needs --Q")
+    if cfg.Q.is_zero():
+        raise CliError("recur needs a nonzero --Q")
     nmax = cfg.nmax if cfg.nmax is not None else 20
     band = cfg.band if cfg.band is not None else cfg.Q.degree
     table = recurrence_table(cfg.family, cfg.Q, nmax)
@@ -294,6 +296,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; remap to the usage code
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
+        for flag, value in (("--nmax", args.nmax), ("--deg", args.deg), ("--band", args.band)):
+            if value is not None and value < 0:
+                raise CliError(f"{flag} must be >= 0, got {value}")
         family = _load_family(args.config)
         Q = None
         if args.Q is not None:

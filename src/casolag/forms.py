@@ -15,6 +15,12 @@ rationals:
   reappears as a discrete part in derivative values at 0.  All integrals
   are then pole-free.
 
+Both variants are evaluated by one routine, BilinearForm.inner, over one
+moment functional g(s) = Gamma(alpha+s)/Gamma(alpha): the first integral
+is a termwise sum of g, and the correction part of x^a paired with x^i is
+a per-form row functional c_i[a], built lazily from U_i (and, for xi, the
+discrete part) and reused by every later pairing.
+
 The kappa coefficients entering the corrections are solved once per family:
 row i annihilates the seed values at -1..-(m-1-i) and is normalized to give
 value 1 at -(m-i), with non-pivot components zeroed, which makes the matrix
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .family import DegenerateFamily, FamilySpec, q_poly
 from .linalg import InconsistentSystem, solve_linear
@@ -79,25 +85,29 @@ def _seed_w(spec: FamilySpec, g: int) -> List[Fraction]:
     return to_binomial_basis(spec.R[g])
 
 
-def u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
-    """Laurent correction for row i:
-
-        U_i = -x^(i-m) + sum_g kappa^g sum_{l=0}^g (alpha-l)_l w_l^g x^(-l-1),
-
-    with w^g the binomial-basis coefficients of the seed R_g.
-    """
-    alpha = spec.alpha
-    terms = [(i - spec.m, Fraction(-1))]
+def _correction(spec: FamilySpec, kappa_row: Sequence, i: int,
+                l_cap: int, head: Fraction) -> LaurentPoly:
+    """-head x^(i-m) + sum_g kappa^g sum_{l <= min(g, l_cap)} (alpha-l)_l w_l^g x^(-l-1),
+    with w^g the binomial-basis coefficients of the seed R_g."""
+    terms = [(i - spec.m, -head)] if head != 0 else []
     for kap, g in zip(kappa_row, spec.G):
         kap = as_rat(kap)
         if kap == 0:
             continue
         w = _seed_w(spec, g)
-        for l in range(g + 1):
-            c = kap * poch(alpha - l, l) * w[l]
+        for l in range(min(g, l_cap) + 1):
+            c = kap * poch(spec.alpha - l, l) * w[l]
             if c != 0:
                 terms.append((-l - 1, c))
     return LaurentPoly.from_terms(terms)
+
+
+def u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
+    """Laurent correction of the generic variant for row i:
+
+        U_i = -x^(i-m) + sum_g kappa^g sum_{l=0}^g (alpha-l)_l w_l^g x^(-l-1).
+    """
+    return _correction(spec, kappa_row, i, spec.max_g, Fraction(1))
 
 
 def u_function_alt(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
@@ -122,31 +132,13 @@ def u_function_alt(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly
 
 
 def xi_u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
-    """Integrand correction of the xi variant for row i.
-
-    Sum over g < alpha of the full U-corrections and over g >= alpha of
-    their truncations at power -alpha; the x^(i-m) head carries the factor
-    (i-m+alpha+1)_{max(0,m-alpha)}, which vanishes exactly for the rows
-    where that power would reach a Gamma pole.
-    """
-    alpha_int = _xi_alpha(spec)
-    m = spec.m
-    xi_big = max(0, m - alpha_int)
-    head = poch(Fraction(i - m + alpha_int + 1), xi_big)
-    terms = []
-    if head != 0:
-        terms.append((i - m, -head))
-    for kap, g in zip(kappa_row, spec.G):
-        kap = as_rat(kap)
-        if kap == 0:
-            continue
-        w = _seed_w(spec, g)
-        l_top = g if g < alpha_int else alpha_int - 1
-        for l in range(l_top + 1):
-            c = kap * poch(spec.alpha - l, l) * w[l]
-            if c != 0:
-                terms.append((-l - 1, c))
-    return LaurentPoly.from_terms(terms)
+    """Laurent correction of the xi variant for row i: u_function with l
+    capped at alpha-1 (the tail moves to the discrete part) and the x^(i-m)
+    head scaled by (i-m+alpha+1)_{max(0,m-alpha)}, which vanishes exactly
+    for the rows where that power would reach a Gamma pole."""
+    alpha = _xi_alpha(spec)
+    head = poch(Fraction(i - spec.m + alpha + 1), max(0, spec.m - alpha))
+    return _correction(spec, kappa_row, i, alpha - 1, head)
 
 
 def _xi_alpha(spec: FamilySpec) -> int:
@@ -165,19 +157,36 @@ def _check_generic(spec: FamilySpec) -> None:
 
 
 class BilinearForm:
-    """A family's bilinear form with a fixed kappa matrix and variant."""
+    """A family's bilinear form with a fixed kappa matrix and variant.
+
+    Both variants pair through the same moment functional
+    g(s) = Gamma(alpha+s)/Gamma(alpha), memoised per form:
+
+        <p,q> = sum_t (p q^(d))_t g(t+sigma) + sum_{i<m} q_i sum_a p_a c_i[a],
+
+    with (d, sigma) = (0, 1-m) for the generic variant and
+    (max(0, m-alpha), max(0, alpha-m)+1-alpha) for xi.  The row functional
+    c_i[a] = sum_{(t,u) in U_i} u g(a+t+1) integrates x^a against the
+    correction U_i; for xi it also carries the discrete part
+    sum_{g >= alpha+a} kappa^g sum_{l=alpha+a}^g (alpha-l)_a w_l^g.
+    """
 
     def __init__(self, spec: FamilySpec, kappa: Optional[KappaMatrix], variant: str):
         if variant not in ("generic", "xi"):
             raise ValueError(f"unknown variant {variant!r}")
         if variant == "generic":
             _check_generic(spec)
+            self._alpha_int = None
+            self._deriv, self._shift = 0, 1 - spec.m
         else:
-            _xi_alpha(spec)
+            a = self._alpha_int = _xi_alpha(spec)
+            self._deriv, self._shift = max(0, spec.m - a), max(0, a - spec.m) + 1 - a
         self.spec = spec
         self.kappa = kappa if kappa is not None else kappa_matrix(spec)
         self.variant = variant
         self._corrections = None
+        self._moments: Dict[int, Fraction] = {}
+        self._rows: List[List[Fraction]] = [[] for _ in range(spec.m)]
 
     @classmethod
     def generic(cls, spec: FamilySpec, kappa: Optional[KappaMatrix] = None):
@@ -194,79 +203,39 @@ class BilinearForm:
                                  for i in range(self.spec.m)]
         return self._corrections
 
+    def _moment(self, s: int) -> Fraction:
+        v = self._moments.get(s)
+        if v is None:
+            v = self._moments[s] = gamma_ratio(self.spec.alpha, s)
+        return v
+
+    def _row_entry(self, i: int, a: int) -> Fraction:
+        v = sum((u * self._moment(a + t + 1) for t, u in self.corrections()[i].terms()),
+                Fraction(0))
+        alpha = self._alpha_int
+        if alpha is not None:
+            for kap, g in zip(self.kappa.row(i), self.spec.G):
+                if g >= alpha + a and kap != 0:
+                    w = _seed_w(self.spec, g)
+                    v += as_rat(kap) * sum(poch(self.spec.alpha - l, a) * w[l]
+                                           for l in range(alpha + a, g + 1))
+        return v
+
     def inner(self, p: Poly, q: Poly) -> Fraction:
-        if self.variant == "generic":
-            return inner_generic(self, p, q)
-        return inner_xi(self, p, q)
-
-
-def _laurent_moment(alpha: Fraction, lp: LaurentPoly) -> Fraction:
-    """int lp mu_alpha / Gamma(alpha): termwise Gamma ratios, with negative
-    powers through the analytic continuation."""
-    total = Fraction(0)
-    for t, c in lp.terms():
-        total += c * gamma_ratio(alpha, t + 1)
-    return total
-
-
-def inner_generic(form: BilinearForm, p: Poly, q: Poly) -> Fraction:
-    """Generic-variant pairing, divided by Gamma(alpha)."""
-    if form.variant != "generic":
-        raise VariantError("inner_generic called on a non-generic form")
-    spec = form.spec
-    alpha = spec.alpha
-    total = Fraction(0)
-    pq = p * q
-    for t in range(len(pq.coeffs)):
-        c = pq.coeff(t)
-        if c != 0:
-            total += c * gamma_ratio(alpha, t + 1 - spec.m)
-    for i in range(spec.m):
-        qi = q.coeff(i)  # q^(i)(0)/i!
-        if qi != 0:
-            total += qi * _laurent_moment(alpha, LaurentPoly.of_poly(p) * form.corrections()[i])
-    return total
-
-
-def inner_xi(form: BilinearForm, p: Poly, q: Poly) -> Fraction:
-    """Xi-variant pairing, divided by Gamma(alpha); pole-free by design."""
-    if form.variant != "xi":
-        raise VariantError("inner_xi called on a non-xi form")
-    spec = form.spec
-    alpha_int = _xi_alpha(spec)
-    alpha = spec.alpha
-    m = spec.m
-    xi_big = max(0, m - alpha_int)
-    xi_small = -min(0, m - alpha_int)
-
-    total = Fraction(0)
-    pq = p * q.deriv(xi_big)
-    for t in range(len(pq.coeffs)):
-        c = pq.coeff(t)
-        if c != 0:
-            total += c * gamma_ratio(alpha, xi_small + t + 1 - alpha_int)
-
-    for i in range(m):
-        qi = q.coeff(i)
-        if qi == 0:
-            continue
-        total += qi * _laurent_moment(alpha, LaurentPoly.of_poly(p) * form.corrections()[i])
-        # discrete part: the truncated tail of the g >= alpha corrections
-        disc = Fraction(0)
-        for kap, g in zip(form.kappa.row(i), spec.G):
-            if g < alpha_int or kap == 0:
+        """<p, q> divided by Gamma(alpha); pole-free on both variants."""
+        total = Fraction(0)
+        for t, c in enumerate((p * q.deriv(self._deriv)).coeffs):
+            if c != 0:
+                total += c * self._moment(t + self._shift)
+        for i, row in enumerate(self._rows):
+            qi = q.coeff(i)  # q^(i)(0)/i!
+            if qi == 0:
                 continue
-            w = _seed_w(spec, g)
-            for j in range(g - alpha_int + 1):
-                pj = p.coeff(j)
-                if pj == 0:
-                    continue
-                s = Fraction(0)
-                for l in range(alpha_int + j, g + 1):
-                    s += poch(alpha - l, j) * w[l]
-                disc += as_rat(kap) * pj * s
-        total += qi * disc
-    return total
+            for a in range(len(row), len(p.coeffs)):
+                row.append(self._row_entry(i, a))
+            total += qi * sum((pa * row[a] for a, pa in enumerate(p.coeffs) if pa != 0),
+                              Fraction(0))
+        return total
 
 
 def closed_form_moment(spec: FamilySpec, kappa_row: Sequence, k: int, u: int) -> Fraction:

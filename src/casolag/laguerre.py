@@ -1,10 +1,9 @@
-"""Classical Laguerre polynomials over exact rationals, plus the moment
-functional of the Laguerre weight in Gamma-normalized form.
+"""Classical Laguerre polynomials over exact rationals.
 
-The weight parameter is a rational number throughout.  The weight mu_b is
-used only as a moment functional: all integrals reduce to the values
-int x^j mu_b = Gamma(b+j+1), reported here divided by a fixed Gamma(alpha),
-so every moment is an exact rational.
+The parameter alpha is a rational number throughout, and each L_n^alpha is
+memoised per (n, alpha).  Integrals against the Laguerre weight are not
+computed here: the bilinear forms in forms.py reduce every one of them to
+the Gamma ratios of special.gamma_ratio.
 """
 
 from __future__ import annotations
@@ -12,10 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List
 
 from .poly import Poly, as_rat
-from .special import binom_rat, gamma_ratio, poch
+from .special import poch
 
 
 @lru_cache(maxsize=None)
@@ -33,61 +31,3 @@ def laguerre(n: int, alpha) -> Poly:
     if n < 0:
         raise ValueError("laguerre needs n >= 0")
     return _laguerre_cached(n, as_rat(alpha))
-
-
-class LaguerreCache:
-    """Per-parameter table of Laguerre polynomials.
-
-    Transparent: get(n) is identical to laguerre(n, alpha); keeping a local
-    table just avoids repeated lookups in hot loops.
-    """
-
-    def __init__(self, alpha):
-        self.alpha = as_rat(alpha)
-        self._table: Dict[int, Poly] = {}
-
-    def get(self, n: int) -> Poly:
-        p = self._table.get(n)
-        if p is None:
-            p = laguerre(n, self.alpha)
-            self._table[n] = p
-        return p
-
-
-def laguerre_deriv_at_zero(n: int, alpha, j: int) -> Fraction:
-    """j-th derivative of L_n at 0: (-1)^j binom(n+alpha, alpha+j)."""
-    if n < 0 or j < 0:
-        raise ValueError("needs n, j >= 0")
-    alpha = as_rat(alpha)
-    # binom(n+alpha, alpha+j) written with the complementary integer index n-j
-    return (-1) ** j * binom_rat(n + alpha, n - j)
-
-
-def laguerre_connection(n: int, alpha, beta) -> List[Fraction]:
-    """Coefficients c_j = (alpha-beta)_j/j! with L_n^alpha = sum_j c_j L_{n-j}^beta."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
-    alpha = as_rat(alpha)
-    beta = as_rat(beta)
-    return [poch(alpha - beta, j) / math.factorial(j) for j in range(n + 1)]
-
-
-def monomial_moment(j: int, alpha, shift: int) -> Fraction:
-    """Gamma-normalized moment of x^j against the weight with parameter
-    alpha+shift: Gamma(alpha+shift+j+1)/Gamma(alpha)."""
-    if j < 0:
-        raise ValueError("needs j >= 0")
-    return gamma_ratio(as_rat(alpha), shift + j + 1)
-
-
-def laguerre_weight_moment(n: int, alpha, l: int) -> Fraction:
-    """Gamma-normalized integral of L_n^alpha against the weight with
-    parameter alpha-l: gamma_ratio(alpha, 1-l) * (l)_n / n!.
-
-    For l >= 1 the factor (l)_n/n! equals binom(n+l-1, l-1); the Pochhammer
-    form also covers l <= 0, where the value vanishes exactly for n > -l.
-    """
-    if n < 0:
-        raise ValueError("needs n >= 0")
-    alpha = as_rat(alpha)
-    return gamma_ratio(alpha, 1 - l) * poch(Fraction(l), n) / math.factorial(n)

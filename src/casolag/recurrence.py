@@ -81,6 +81,18 @@ def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
     return RecurrenceTable(Q=Q, n_range=n_range, rows=rows)
 
 
+def _first_outside(table: RecurrenceTable, lo: int,
+                   hi: Optional[int] = None) -> Optional[Tuple[int, int, Fraction]]:
+    """First (n, j, gamma_{n,j}) with a nonzero gamma outside lo <= j <= hi
+    (no upper limit when hi is None), scanning n and then j ascending."""
+    for n in sorted(table.rows):
+        row = table.rows[n]
+        for j in sorted(row):
+            if (j < lo or (hi is not None and j > hi)) and row[j] != 0:
+                return n, j, row[j]
+    return None
+
+
 def verify_band(table: RecurrenceTable, s: int) -> bool:
     """True iff the table is banded with symmetric width s: gamma_{n,j} = 0
     for |j| > s on every row, and both extremes gamma_{n,s}, gamma_{n,-s}
@@ -91,15 +103,10 @@ def verify_band(table: RecurrenceTable, s: int) -> bool:
     if s < 0:
         return False
     applicable = [n for n in table.n_range if n >= s]
-    if not applicable:
+    if not applicable or _first_outside(table, -s, s) is not None:
         return False
-    for n, row in table.rows.items():
-        for j, v in row.items():
-            if abs(j) > s and v != 0:
-                return False
-        if n >= s and (table.gamma(n, s) == 0 or table.gamma(n, -s) == 0):
-            return False
-    return True
+    return all(table.gamma(n, s) != 0 and table.gamma(n, -s) != 0
+               for n in table.rows if n >= s)
 
 
 @dataclass
@@ -123,11 +130,11 @@ def three_term_test(spec: FamilySpec, nmax: int) -> ThreeTermResult:
     a = [table.gamma(n, 1) for n in range(nmax + 1)]
     b = [table.gamma(n, 0) for n in range(nmax + 1)]
     c = [table.gamma(n, -1) for n in range(nmax + 1)]
-    for n, row in table.rows.items():
-        for j, v in row.items():
-            if j < -1 and v != 0:
-                return ThreeTermResult(nmax, False, a, b, c,
-                                       failure=f"gamma_({n},{j}) = {rat_str(v)} != 0")
+    bad = _first_outside(table, -1)
+    if bad is not None:
+        n, j, v = bad
+        return ThreeTermResult(nmax, False, a, b, c,
+                               failure=f"gamma_({n},{j}) = {rat_str(v)} != 0")
     for n in range(1, nmax + 1):
         if c[n] == 0:
             return ThreeTermResult(nmax, False, a, b, c,
@@ -234,13 +241,8 @@ def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10
     """Re-check every probe basis element on a longer table (rows up to
     n_max + extra): no coefficients below -band may appear."""
     N = result.n_max + extra
-    for Q in result.basis:
-        table = recurrence_table(spec, Q, N)
-        for n, row in table.rows.items():
-            for j, v in row.items():
-                if j < -result.band and v != 0:
-                    return False
-    return True
+    return all(_first_outside(recurrence_table(spec, Q, N), -result.band) is None
+               for Q in result.basis)
 
 
 @dataclass
@@ -277,9 +279,7 @@ def rho_recurrence(spec: FamilySpec, p: Poly, nmax: int) -> RhoRecurrenceResult:
     Q = Poly.monomial(rho) * p
     s = p.degree + rho
     table = recurrence_table(spec, Q, nmax)
-    band_ok = all(v == 0
-                  for row in table.rows.values()
-                  for j, v in row.items() if abs(j) > s)
+    band_ok = _first_outside(table, -s, s) is None
     extremes_from = None
     if band_ok and nmax >= s:
         n0 = None

@@ -210,3 +210,24 @@ def test_unknown_command_usage_error(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--nmax", "-1"),
+    ("qpoly", "--nmax", "-3"),
+    ("ortho", "--nmax", "-1"),
+    ("recur", "--Q", "0"),
+    ("recur", "--Q", "x", "--nmax", "-2"),
+    ("recur", "--Q", "x", "--band", "-1"),
+    ("three-term", "--nmax", "-1"),
+    ("probe", "--deg", "-1"),
+    ("probe", "--deg", "2", "--band", "-1"),
+    ("probe", "--deg", "2", "--nmax", "-1"),
+    ("preset", "--deg", "-1"),
+], ids=" ".join)
+def test_out_of_domain_flags_are_usage_errors(cfg, capsys, argv):
+    code, out, err = run(capsys, argv[0], "--config", cfg(REMARK), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["kind"] == "usage"

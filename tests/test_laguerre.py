@@ -3,9 +3,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from casolag import (LaguerreCache, Poly, binom_rat, laguerre,
-                     laguerre_connection, laguerre_deriv_at_zero,
-                     laguerre_weight_moment, monomial_moment, parse_poly)
+from casolag import Poly, binom_rat, gamma_ratio, laguerre, parse_poly, poch
 
 ALPHAS = (F(7), F(3, 2), F(22, 7), F(1), F(0), F(-1, 3))
 
@@ -42,19 +40,15 @@ def test_laguerre_ode():
             assert lhs.is_zero()
 
 
-def test_cache_consistency():
-    cache = LaguerreCache(F(7))
-    assert cache.get(4) == laguerre(4, F(7))
-    assert cache.get(4) is cache.get(4)
-
-
 def test_deriv_at_zero_closed_form():
     for alpha in ALPHAS:
         for n in range(7):
             p = laguerre(n, alpha)
             for j in range(n + 1):
+                # closed form (-1)^j binom(n+alpha, alpha+j), written with
+                # the complementary integer index n-j
                 direct = p.deriv(j)(F(0))
-                assert direct == laguerre_deriv_at_zero(n, alpha, j)
+                assert direct == (-1) ** j * binom_rat(n + alpha, n - j)
 
 
 @settings(max_examples=30)
@@ -62,29 +56,40 @@ def test_deriv_at_zero_closed_form():
        st.sampled_from([F(7), F(3, 2), F(22, 7)]),
        st.sampled_from([F(1), F(5, 2), F(3)]))
 def test_connection_formula(n, alpha, beta):
-    coeffs = laguerre_connection(n, alpha, beta)
+    # L_n^alpha = sum_j (alpha-beta)_j/j! L_{n-j}^beta
     combo = Poly.zero()
-    for j, c in enumerate(coeffs):
+    for j in range(n + 1):
+        c = poch(alpha - beta, j) / math.factorial(j)
         combo = combo + c * laguerre(n - j, beta)
     assert combo == laguerre(n, alpha)
 
 
+def monomial_moment(j, alpha, shift):
+    # integral of x^j against mu_{alpha+shift}, normalized by Gamma(alpha)
+    return gamma_ratio(alpha, shift + j + 1)
+
+
+def weight_moment(n, alpha, l):
+    # integral of L_n^alpha against mu_{alpha-l}, termwise
+    p = laguerre(n, alpha)
+    return sum((p.coeff(t) * monomial_moment(t, alpha, -l)
+                for t in range(n + 1)), F(0))
+
+
 def test_monomial_moment():
-    # integral of x^j d(mu_alpha shifted), normalized by Gamma(alpha)
     assert monomial_moment(0, F(7), 0) == 7
     assert monomial_moment(1, F(7), 0) == 7 * 8
     assert monomial_moment(0, F(7), -3) == F(1, 5 * 6)
 
 
 def test_weight_moment_against_termwise():
-    # pair L_n against the weight with parameter alpha - l, termwise
+    # closed form gamma_ratio(alpha, 1-l) (l)_n / n!; the Pochhammer factor
+    # also covers l <= 0, where the value vanishes exactly for n > -l
     for alpha in (F(7), F(22, 7)):
         for l in range(0, 4):
             for n in range(6):
-                p = laguerre(n, alpha)
-                direct = sum((p.coeff(t) * monomial_moment(t, alpha, -l)
-                              for t in range(n + 1)), F(0))
-                assert direct == laguerre_weight_moment(n, alpha, l)
+                closed = gamma_ratio(alpha, 1 - l) * poch(F(l), n) / math.factorial(n)
+                assert weight_moment(n, alpha, l) == closed
 
 
 def test_weight_moment_binomial_form():
@@ -93,7 +98,7 @@ def test_weight_moment_binomial_form():
     for l in range(1, 4):
         for n in range(6):
             expected = binom_rat(F(n + l - 1), l - 1) / poch_like(alpha, l)
-            assert laguerre_weight_moment(n, alpha, l) == expected
+            assert weight_moment(n, alpha, l) == expected
 
 
 def poch_like(alpha, l):
@@ -105,7 +110,7 @@ def poch_like(alpha, l):
 
 def test_weight_moment_corners():
     # n = 0: plain normalized weight mass Gamma(alpha-l+1)/Gamma(alpha)
-    assert laguerre_weight_moment(0, F(7), 0) == 7
-    assert laguerre_weight_moment(0, F(7), 2) == F(1, 6)
+    assert weight_moment(0, F(7), 0) == 7
+    assert weight_moment(0, F(7), 2) == F(1, 6)
     # l = 0 and n >= 1: weight is mu_alpha itself, orthogonal to L_n
-    assert laguerre_weight_moment(3, F(7), 0) == 0
+    assert weight_moment(3, F(7), 0) == 0
