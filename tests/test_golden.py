@@ -1,10 +1,12 @@
-"""Byte-for-byte gate on the `ortho` reports.
+"""Byte-for-byte gate on the CLI reports.
 
-The files under tests/golden/ are the reports of `casolag ortho --nmax 16`
-in every output format on five families: the three conftest families, a
-krall preset and a degenerate preset.  Refactors of the pairing path must
-reproduce them exactly.  To rewrite them from the current code (only after
-an intended change of report content), run from the repository root:
+The files under tests/golden/ are the reports of seven subcommands in every
+output format on five families: the three conftest families, a krall preset
+and a degenerate preset, plus `check` on a family that fails admissibility.
+`exit_codes.json` holds the exit code of each run.  Refactors of the
+computation or of the report writers must reproduce them exactly.  To
+rewrite them from the current code (only after an intended change of report
+content), run from the repository root:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -16,7 +18,7 @@ import sys
 import pytest
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-NMAX = 16
+EXIT_CODES = GOLDEN / "exit_codes.json"
 FORMATS = ("json", "csv", "latex")
 
 # the conftest fixtures in config form, plus two presets
@@ -31,43 +33,100 @@ FAMILIES = {
     "degenerate": {"preset": "degenerate", "alpha": 2, "m": 4,
                    "a": ["1", "2", "3", "5"]},
 }
+# Omega(1) = 0: `check` exits 2 with fail_n set
+INADMISSIBLE = {"alpha": "22/7", "G": [2, 3], "R": {"2": "x^2", "3": "x^3"}}
 
-CASES = [(fam, fmt) for fam in FAMILIES for fmt in FORMATS]
+COMMANDS = {
+    "ortho": ("--nmax", "16"),
+    "check": (),
+    "preset": (),
+    "qpoly": ("--nmax", "6"),
+    "recur": ("--Q", "x^4+16*x^3", "--nmax", "8"),
+    "three-term": ("--nmax", "6"),
+    "probe": ("--deg", "3"),
+}
+
+ORTHO_CASES = [(fam, fmt) for fam in FAMILIES for fmt in FORMATS]
+CASES = [(cmd, fam, fmt) for cmd in COMMANDS if cmd != "ortho"
+         for fam in FAMILIES for fmt in FORMATS]
+CASES += [("check", "inadmissible", fmt) for fmt in FORMATS]
 
 
-def golden_path(family: str, fmt: str) -> pathlib.Path:
-    return GOLDEN / f"ortho_{family}.{fmt}"
+def case_name(command: str, family: str) -> str:
+    return f"{command}_{family}"
 
 
-def render_report(family: str, fmt: str, workdir: pathlib.Path):
-    """(exit code, report bytes) of `ortho --nmax 16` on one family."""
+def golden_path(command: str, family: str, fmt: str) -> pathlib.Path:
+    return GOLDEN / f"{case_name(command, family)}.{fmt}"
+
+
+def render_report(command: str, family: str, fmt: str, workdir: pathlib.Path):
+    """(exit code, report bytes) of one subcommand on one family."""
     from casolag.cli import main
 
     config = workdir / f"{family}.json"
-    config.write_text(json.dumps(FAMILIES[family]), encoding="utf-8")
-    out = workdir / f"{family}.{fmt}.out"
-    code = main(["ortho", "--config", str(config), "--nmax", str(NMAX),
+    obj = INADMISSIBLE if family == "inadmissible" else FAMILIES[family]
+    config.write_text(json.dumps(obj), encoding="utf-8")
+    out = workdir / f"{command}_{family}.{fmt}.out"
+    code = main([command, "--config", str(config), *COMMANDS[command],
                  "--format", fmt, "--out", str(out)])
     return code, out.read_bytes()
 
 
-@pytest.mark.parametrize("family,fmt", CASES)
+_CERTIFICATES = {}
+
+
+@pytest.fixture(autouse=True)
+def certify_once(monkeypatch):
+    """`check` on the degenerate preset scans about 311,000 integers (17 s
+    on a 2-vCPU VM); compute each family's certificate once for all three
+    formats.  The report is still written by the CLI from the real
+    certificate."""
+    import casolag.cli
+    from casolag.family import spec_to_json
+
+    real = casolag.cli.certify_admissible
+
+    def cached(spec):
+        key = spec_to_json(spec)
+        if key not in _CERTIFICATES:
+            _CERTIFICATES[key] = real(spec)
+        return _CERTIFICATES[key]
+
+    monkeypatch.setattr(casolag.cli, "certify_admissible", cached)
+
+
+def assert_matches_golden(command, family, fmt, workdir):
+    code, report = render_report(command, family, fmt, workdir)
+    expected = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+    assert code == expected[case_name(command, family)]
+    assert report == golden_path(command, family, fmt).read_bytes()
+
+
+@pytest.mark.parametrize("family,fmt", ORTHO_CASES)
 def test_ortho_report_matches_golden(family, fmt, tmp_path):
-    code, report = render_report(family, fmt, tmp_path)
-    assert code == 0
-    assert report == golden_path(family, fmt).read_bytes()
+    assert_matches_golden("ortho", family, fmt, tmp_path)
+
+
+@pytest.mark.parametrize("command,family,fmt", CASES)
+def test_report_matches_golden(command, family, fmt, tmp_path):
+    assert_matches_golden(command, family, fmt, tmp_path)
 
 
 def regenerate() -> None:
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
+    codes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for family, fmt in CASES:
-            code, report = render_report(family, fmt, pathlib.Path(tmp))
-            if code != 0:
-                sys.exit(f"ortho on {family} exited {code}")
-            golden_path(family, fmt).write_bytes(report)
+        for command, family, fmt in [("ortho", f, x) for f, x in ORTHO_CASES] + CASES:
+            code, report = render_report(command, family, fmt, pathlib.Path(tmp))
+            name = case_name(command, family)
+            if codes.setdefault(name, code) != code:
+                sys.exit(f"{name} exited {code} and {codes[name]}")
+            golden_path(command, family, fmt).write_bytes(report)
+    EXIT_CODES.write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
 
 
 if __name__ == "__main__":
