@@ -21,8 +21,7 @@ from .recurrence import (AlgebraProbeResult, ObstructionResult,
                          RecurrenceTable, RhoRecurrenceResult, ThreeTermResult,
                          algebra_probe, expand_in_q, obstruction_test,
                          recurrence_table, reverify_probe, rho_bound,
-                         rho_recurrence, table_rows_json, table_to_csv,
-                         table_to_latex, three_term_test, verify_band)
+                         rho_recurrence, three_term_test, verify_band)
 from .special import (PoleError, binom_rat, casoratian,
                       combinatorial_identity_check, from_binomial_basis,
                       gamma_ratio, poch, to_binomial_basis)
@@ -44,7 +43,6 @@ __all__ = [
     "ortho_check", "parse_poly", "poch", "q_poly", "rat_str",
     "recurrence_table", "reduce_representation", "render", "reverify_probe",
     "rho_bound", "rho_recurrence", "solve_linear", "spec_from_json",
-    "spec_from_json_dict", "spec_to_json", "table_rows_json", "table_to_csv",
-    "table_to_latex", "three_term_test", "u_function", "u_function_alt",
-    "verify_band", "xi_u_function",
+    "spec_from_json_dict", "spec_to_json", "three_term_test", "u_function",
+    "u_function_alt", "verify_band", "xi_u_function",
 ]

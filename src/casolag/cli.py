@@ -16,16 +16,16 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import List, Optional, Sequence
 
 from .family import (AdmissibilityCertificate, DegenerateFamily, FamilySpec,
-                     InvalidPreset, certify_admissible, omega, q_poly,
+                     InvalidPreset, certify_admissible, q_poly,
                      spec_from_json_dict)
 from .forms import BilinearForm, VariantError, ortho_check
 from .parsing import ParseError, parse_poly
 from .poly import Poly, rat_str, render
 from .recurrence import (algebra_probe, recurrence_table, reverify_probe,
-                         table_rows_json, table_to_csv, table_to_latex,
                          three_term_test, verify_band)
 from .special import PoleError
 
@@ -65,13 +65,70 @@ def _load_family(path: str) -> FamilySpec:
         raise CliError(f"invalid family config: {e}", "config") from e
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_text: str, latex_text: str) -> None:
+# -- reports ----------------------------------------------------------
+
+
+@dataclass
+class Table:
+    """Rows of typed cells (int, bool, None, str, Fraction, Poly).  names
+    are the CSV header and the JSON row keys, heads the LaTeX column heads
+    (default: names); a None title or note leaves out the LaTeX section
+    heading or trailing comment."""
+
+    names: Sequence[str]
+    rows: List[tuple]
+    title: Optional[str] = None
+    colspec: Optional[str] = None
+    heads: Optional[Sequence[str]] = None
+    note: Optional[str] = None
+
+    def json_row(self, row: tuple) -> dict:
+        return {name: _json_cell(v) for name, v in zip(self.names, row)}
+
+    def json_rows(self) -> List[dict]:
+        return [self.json_row(row) for row in self.rows]
+
+
+def _json_cell(v):
+    return rat_str(v) if isinstance(v, Fraction) else render(v) if isinstance(v, Poly) else v
+
+
+def _csv_cell(v) -> str:
+    return "" if v is None else str(v).lower() if isinstance(v, bool) else str(_json_cell(v))
+
+
+def _latex_cell(v) -> str:
+    return rf"\verb|{_json_cell(v)}|" if isinstance(v, (Fraction, Poly)) else str(v)
+
+
+def _to_csv(table: Table) -> str:
+    lines = [",".join(table.names)]
+    lines += [",".join(map(_csv_cell, row)) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+def _to_latex(table: Table) -> str:
+    """Standalone LaTeX document holding the table."""
+    title = [] if table.title is None else [rf"\section*{{{table.title}}}"]
+    note = [] if table.note is None else [f"% {table.note}"]
+    lines = [r"\documentclass{article}", r"\begin{document}", *title,
+             rf"\begin{{tabular}}{{{table.colspec or 'l' * len(table.names)}}}",
+             " & ".join(table.heads or table.names) + r" \\", r"\hline",
+             *(" & ".join(map(_latex_cell, row)) + r" \\" for row in table.rows),
+             r"\end{tabular}", *note, r"\end{document}"]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(cfg: RunConfig, payload: dict, table: Table,
+          latex: Optional[Table] = None) -> None:
+    """Write payload as JSON, or table as CSV or LaTeX; latex, when given,
+    is the table the LaTeX document shows instead."""
     if cfg.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif cfg.fmt == "csv":
-        text = csv_text
+        text = _to_csv(table)
     else:
-        text = latex_text
+        text = _to_latex(table if latex is None else latex)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -79,59 +136,35 @@ def _emit(cfg: RunConfig, payload: dict, csv_text: str, latex_text: str) -> None
         sys.stdout.write(text)
 
 
-def _latex_doc(title: str, colspec: str, header: str, body_lines) -> str:
-    lines = [
-        r"\documentclass{article}",
-        r"\begin{document}",
-        rf"\section*{{{title}}}",
-        rf"\begin{{tabular}}{{{colspec}}}",
-        header + r" \\",
-        r"\hline",
-    ]
-    lines.extend(body_lines)
-    lines += [r"\end{tabular}", r"\end{document}"]
-    return "\n".join(lines) + "\n"
-
-
-def _verbatim_poly(p: Poly) -> str:
-    return r"\verb|" + render(p) + "|"
+def _latex_frac(v: Fraction) -> str:
+    return f"${v}$" if v.denominator == 1 else rf"$\frac{{{v.numerator}}}{{{v.denominator}}}$"
 
 
 def cmd_check(cfg: RunConfig) -> int:
     cert: AdmissibilityCertificate = certify_admissible(cfg.family)
-    payload = {
-        "command": "check",
-        "family": cfg.family.to_json_dict(),
-        "omega": render(cert.omega),
-        "admissible": cert.passed,
-        "scan_bound": cert.integer_scan_bound,
-        "fail_n": cert.fail_n,
-    }
-    csv_text = ("omega,admissible,scan_bound,fail_n\n"
-                f"{render(cert.omega)},{str(cert.passed).lower()},"
-                f"{cert.integer_scan_bound},{'' if cert.fail_n is None else cert.fail_n}\n")
-    latex = _latex_doc("Admissibility", "ll", "quantity & value", [
-        rf"determinant & {_verbatim_poly(cert.omega)} \\",
-        rf"admissible & {cert.passed} \\",
-        rf"scan bound & {cert.integer_scan_bound} \\",
-    ])
-    _emit(cfg, payload, csv_text, latex)
+    table = Table(("omega", "admissible", "scan_bound", "fail_n"),
+                  [(cert.omega, cert.passed, cert.integer_scan_bound, cert.fail_n)])
+    latex = Table(("quantity", "value"),
+                  [("determinant", cert.omega), ("admissible", cert.passed),
+                   ("scan bound", cert.integer_scan_bound)],
+                  title="Admissibility")
+    payload = {"command": "check", "family": cfg.family.to_json_dict(),
+               **table.json_rows()[0]}
+    _emit(cfg, payload, table, latex)
     return 0 if cert.passed else VERDICT_FAIL
 
 
 def cmd_qpoly(cfg: RunConfig) -> int:
     nmax = cfg.nmax if cfg.nmax is not None else 8
-    polys = [(n, q_poly(cfg.family, n)) for n in range(nmax + 1)]
+    table = Table(("n", "q"), [(n, q_poly(cfg.family, n)) for n in range(nmax + 1)],
+                  title="Family members", colspec="rl", heads=(r"$n$", r"$q_n$"))
     payload = {
         "command": "qpoly",
         "family": cfg.family.to_json_dict(),
         "nmax": nmax,
-        "polys": [{"n": n, "q": render(p)} for n, p in polys],
+        "polys": table.json_rows(),
     }
-    csv_text = "n,q\n" + "".join(f"{n},{render(p)}\n" for n, p in polys)
-    latex = _latex_doc("Family members", "rl", r"$n$ & $q_n$",
-                       [rf"{n} & {_verbatim_poly(p)} \\" for n, p in polys])
-    _emit(cfg, payload, csv_text, latex)
+    _emit(cfg, payload, table)
     return 0
 
 
@@ -149,24 +182,18 @@ def cmd_ortho(cfg: RunConfig) -> int:
     variant = _pick_variant(cfg.family)
     form = BilinearForm(cfg.family, None, variant)
     report = ortho_check(cfg.family, form, nmax)
-    entries = [{"n": n, "i": i, "value": rat_str(v)} for n, i, v in report.entries]
+    table = Table(("n", "i", "value"), report.entries, title="Pairings",
+                  colspec="rrl", heads=(r"$n$", r"$i$", "value"))
     payload = {
         "command": "ortho",
         "variant": variant,
         "nmax": nmax,
         "passed": report.passed,
-        "entries": entries,
-        "first_violation": None if report.first_violation is None else {
-            "n": report.first_violation[0],
-            "i": report.first_violation[1],
-            "value": rat_str(report.first_violation[2]),
-        },
+        "entries": table.json_rows(),
+        "first_violation": None if report.first_violation is None
+        else table.json_row(report.first_violation),
     }
-    csv_text = "n,i,value\n" + "".join(
-        f"{e['n']},{e['i']},{e['value']}\n" for e in entries)
-    latex = _latex_doc("Pairings", "rrl", r"$n$ & $i$ & value",
-                       [rf"{e['n']} & {e['i']} & \verb|{e['value']}| \\" for e in entries])
-    _emit(cfg, payload, csv_text, latex)
+    _emit(cfg, payload, table)
     return 0 if report.passed else VERDICT_FAIL
 
 
@@ -177,39 +204,40 @@ def cmd_recur(cfg: RunConfig) -> int:
         raise CliError("recur needs a nonzero --Q")
     nmax = cfg.nmax if cfg.nmax is not None else 20
     band = cfg.band if cfg.band is not None else cfg.Q.degree
-    table = recurrence_table(cfg.family, cfg.Q, nmax)
-    ok = verify_band(table, band)
+    rec = recurrence_table(cfg.family, cfg.Q, nmax)
+    ok = verify_band(rec, band)
+    table = Table(("n", "j", "gamma"), [(n, j, g) for n, row in sorted(rec.rows.items())
+                                        for j, g in sorted(row.items())])
+    latex = Table(table.names, [(n, j, _latex_frac(g)) for n, j, g in table.rows],
+                  colspec="rrl", heads=(r"$n$", r"$j$", r"$\gamma_{n,j}$"),
+                  note=f"$Q = {render(cfg.Q)}$")
     payload = {
         "command": "recur",
         "Q": render(cfg.Q),
         "nmax": nmax,
         "band": band,
         "band_ok": ok,
-        "rows": table_rows_json(table),
+        "rows": table.json_rows(),
     }
-    _emit(cfg, payload, table_to_csv(table), table_to_latex(table))
+    _emit(cfg, payload, table, latex)
     return 0 if ok else VERDICT_FAIL
 
 
 def cmd_three_term(cfg: RunConfig) -> int:
     nmax = cfg.nmax if cfg.nmax is not None else 20
     res = three_term_test(cfg.family, nmax)
-    coeffs = [{"n": n, "a": rat_str(res.a[n]), "b": rat_str(res.b[n]),
-               "c": rat_str(res.c[n])} for n in range(nmax + 1)]
+    table = Table(("n", "a", "b", "c"),
+                  [(n, res.a[n], res.b[n], res.c[n]) for n in range(nmax + 1)],
+                  title="Three-term coefficients", colspec="rlll",
+                  heads=(r"$n$", r"$a_n$", r"$b_n$", r"$c_n$"))
     payload = {
         "command": "three-term",
         "nmax": nmax,
         "passed": res.passed,
         "failure": res.failure,
-        "coeffs": coeffs,
+        "coeffs": table.json_rows(),
     }
-    csv_text = "n,a,b,c\n" + "".join(
-        f"{r['n']},{r['a']},{r['b']},{r['c']}\n" for r in coeffs)
-    latex = _latex_doc("Three-term coefficients", "rlll",
-                       r"$n$ & $a_n$ & $b_n$ & $c_n$",
-                       [rf"{r['n']} & \verb|{r['a']}| & \verb|{r['b']}| & \verb|{r['c']}| \\"
-                        for r in coeffs])
-    _emit(cfg, payload, csv_text, latex)
+    _emit(cfg, payload, table)
     return 0 if res.passed else VERDICT_FAIL
 
 
@@ -218,31 +246,29 @@ def cmd_probe(cfg: RunConfig) -> int:
         raise CliError("probe needs --deg")
     result = algebra_probe(cfg.family, cfg.deg, cfg.band, cfg.nmax)
     ok = reverify_probe(cfg.family, result)
-    basis = [render(p) for p in result.basis]
+    table = Table(("index", "Q"), list(enumerate(result.basis)),
+                  title="Eigenvalue algebra basis", colspec="rl",
+                  heads=(r"\#", r"$Q$"))
     payload = {
         "command": "probe",
         "deg": result.degree_cap,
         "band": result.band,
         "nmax": result.n_max,
         "dimension": result.dimension,
-        "basis": basis,
+        "basis": [render(p) for p in result.basis],
         "reverified": ok,
     }
-    csv_text = "index,Q\n" + "".join(f"{k},{q}\n" for k, q in enumerate(basis))
-    latex = _latex_doc("Eigenvalue algebra basis", "rl", r"\# & $Q$",
-                       [rf"{k} & \verb|{q}| \\" for k, q in enumerate(basis)])
-    _emit(cfg, payload, csv_text, latex)
+    _emit(cfg, payload, table)
     return 0 if ok else VERDICT_FAIL
 
 
 def cmd_preset(cfg: RunConfig) -> int:
-    fam = cfg.family.to_json_dict()
-    payload = {"command": "preset", "family": fam}
-    csv_text = "key,value\n" + f"alpha,{fam['alpha']}\n" + "".join(
-        f"R_{g},{fam['R'][str(g)]}\n" for g in fam["G"])
-    latex = _latex_doc("Expanded preset", "rl", r"$g$ & $R_g$",
-                       [rf"{g} & \verb|{fam['R'][str(g)]}| \\" for g in fam["G"]])
-    _emit(cfg, payload, csv_text, latex)
+    spec = cfg.family
+    table = Table(("key", "value"),
+                  [("alpha", spec.alpha)] + [(f"R_{g}", spec.R[g]) for g in spec.G])
+    latex = Table(("g", "R_g"), [(g, spec.R[g]) for g in spec.G],
+                  title="Expanded preset", colspec="rl", heads=(r"$g$", r"$R_g$"))
+    _emit(cfg, {"command": "preset", "family": spec.to_json_dict()}, table, latex)
     return 0
 
 

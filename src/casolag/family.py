@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -308,34 +309,58 @@ def spec_to_json(spec: FamilySpec) -> str:
     return json.dumps(spec.to_json_dict(), sort_keys=True, indent=2)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_JSON_TYPES = {list: "an array", dict: "an object", str: "a string"}
+
+
+def _json_typed(v, kind: type, what: str):
+    if not isinstance(v, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {json.dumps(v)}")
+    return v
+
+
+def _json_number(v, what: str, rational: bool = False):
+    """v read as schemas/family.json reads it: an integer (3 or 3.0, not
+    3.5 or true) as an int, or with rational set also a "p/q" string, as a
+    Fraction."""
+    if rational and isinstance(v, str) and _RATIONAL.fullmatch(v):
+        return as_rat(v)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v) if rational else v
+    kind = 'an integer or a "p/q" string' if rational else "an integer"
+    raise ValueError(f"{what} must be {kind}, got {json.dumps(v)}")
+
+
 def spec_from_json_dict(obj: dict) -> FamilySpec:
     """Build a spec from its JSON form, expanding preset descriptors.
 
     Direct form: {"alpha": "p/q", "G": [g...], "R": {"g": "<poly>"}}.
     Preset form: {"preset": "krall"|"degenerate", "alpha": int, "m": int,
-    "a": ["p/q", ...]}.
+    "a": ["p/q", ...]}.  What schemas/family.json rejects raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("family config must be a JSON object")
+    keys = {"preset", "alpha", "m", "a"} if "preset" in obj else {"alpha", "G", "R"}
+    if set(obj) != keys:
+        raise ValueError(f"family config needs exactly the keys {sorted(keys)}, "
+                         f"got {sorted(obj)}")
     if "preset" in obj:
         kind = obj["preset"]
-        try:
-            alpha = int(obj["alpha"])
-            m = int(obj["m"])
-            a = [as_rat(v) for v in obj["a"]]
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"bad preset descriptor: {e}") from e
+        alpha = _json_number(obj["alpha"], "alpha")
+        m = _json_number(obj["m"], "m")
+        a = [_json_number(v, "a entry", rational=True)
+             for v in _json_typed(obj["a"], list, "a")]
         if kind == "krall":
             return krall_preset(alpha, m, a)
         if kind == "degenerate":
             return degenerate_preset(alpha, m, a)
-        raise ValueError(f"unknown preset kind {kind!r}")
-    try:
-        alpha = as_rat(obj["alpha"])
-        G = [int(g) for g in obj["G"]]
-        R = {int(g): parse_poly(text) for g, text in obj["R"].items()}
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"bad family config: {e}") from e
+        raise ValueError(f"unknown preset kind {json.dumps(kind)}")
+    alpha = _json_number(obj["alpha"], "alpha", rational=True)
+    G = [_json_number(g, "G entry") for g in _json_typed(obj["G"], list, "G")]
+    R = {int(g): parse_poly(_json_typed(text, str, f"seed R[{g}]"))
+         for g, text in _json_typed(obj["R"], dict, "R").items()}
     return FamilySpec(alpha, tuple(G), R)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .poly import Poly, as_rat
+from .poly import as_rat
 
 
 class InconsistentSystem(Exception):
@@ -139,32 +139,3 @@ def det_rat(M: Sequence[Sequence]) -> Fraction:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return det
 
-
-def det_poly(M: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square Poly matrix (cofactor expansion).
-
-    Factorial cost, fine for the small Casoratian blocks this package builds
-    (the group sizes in play stay in single digits).
-    """
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return Poly.one()
-    cols = list(range(n))
-
-    def minor_det(r: int, active: tuple) -> Poly:
-        if len(active) == 1:
-            return M[r][active[0]]
-        acc = Poly.zero()
-        sign = 1
-        for idx, c in enumerate(active):
-            entry = M[r][c]
-            if not entry.is_zero():
-                rest = active[:idx] + active[idx + 1:]
-                term = entry * minor_det(r + 1, rest)
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        return acc
-
-    return minor_det(0, tuple(cols))

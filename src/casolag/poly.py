@@ -25,13 +25,16 @@ NEG_INF = float("-inf")
 
 
 def as_rat(v: RatLike) -> Fraction:
-    """Coerce int / Fraction / 'p/q' string to Fraction.  Floats are refused."""
+    """Coerce int / Fraction / 'p/q' string to Fraction.  Refuses floats and bools."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v.strip())
+        try:
+            return Fraction(v.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
     raise TypeError(f"not an exact rational: {v!r}")
 
 

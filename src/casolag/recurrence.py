@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .family import FamilySpec, q_poly
 from .linalg import solve_linear
-from .poly import Poly, rat_str, render
+from .poly import Poly, rat_str
 
 
 @dataclass
@@ -294,39 +294,3 @@ def rho_recurrence(spec: FamilySpec, p: Poly, nmax: int) -> RhoRecurrenceResult:
                                extremes_from=extremes_from,
                                passed=band_ok and extremes_from is not None)
 
-
-# -- table export -----------------------------------------------------
-
-
-def table_rows_json(table: RecurrenceTable) -> List[dict]:
-    out = []
-    for n in sorted(table.rows):
-        for j in sorted(table.rows[n]):
-            out.append({"n": n, "j": j, "gamma": rat_str(table.rows[n][j])})
-    return out
-
-
-def table_to_csv(table: RecurrenceTable) -> str:
-    lines = ["n,j,gamma"]
-    for row in table_rows_json(table):
-        lines.append(f"{row['n']},{row['j']},{row['gamma']}")
-    return "\n".join(lines) + "\n"
-
-
-def table_to_latex(table: RecurrenceTable) -> str:
-    """Standalone LaTeX document with the coefficient table."""
-    lines = [
-        r"\documentclass{article}",
-        r"\begin{document}",
-        r"\begin{tabular}{rrl}",
-        r"$n$ & $j$ & $\gamma_{n,j}$ \\",
-        r"\hline",
-    ]
-    for row in table_rows_json(table):
-        g = row["gamma"]
-        if "/" in g:
-            num, den = g.split("/")
-            g = rf"\frac{{{num}}}{{{den}}}"
-        lines.append(rf"{row['n']} & {row['j']} & ${g}$ \\")
-    lines += [r"\end{tabular}", rf"% $Q = {render(table.Q)}$", r"\end{document}"]
-    return "\n".join(lines) + "\n"

@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 from typing import List, Sequence
 
-from .linalg import det_poly
-from .poly import Poly, Rat, as_rat
+from .linalg import det_rat
+from .poly import Poly, as_rat
 
 
 class PoleError(ArithmeticError):
@@ -106,15 +106,27 @@ def from_binomial_basis(w: Sequence) -> Poly:
 def casoratian(polys: Sequence[Poly]) -> Poly:
     """Shifted-argument determinant det(p_i(x-j)), i = 1..s, j = 0..s-1.
 
-    The discrete analogue of the Wronskian.  For seeds of pairwise distinct
-    degrees d_i the result has degree sum(d_i) - s(s-1)/2; a repeated degree
-    forces a strictly smaller one.
+    The discrete analogue of the Wronskian.  Taking backward differences of
+    the columns shows deg <= D = sum(deg p_i) - s(s-1)/2, with equality for
+    pairwise distinct degrees; a repeated degree forces a strictly smaller
+    one.  The determinant is therefore interpolated exactly, in Newton form,
+    from its values at x = 0..D.
     """
     s = len(polys)
     if s < 1:
         raise ValueError("casoratian needs at least one polynomial")
-    M = [[p.translate(-j) for j in range(s)] for p in polys]
-    return det_poly(M)
+    if any(p.is_zero() for p in polys):
+        return Poly.zero()
+    D = sum(p.degree for p in polys) - s * (s - 1) // 2
+    c = [det_rat([[p(x - j) for j in range(s)] for p in polys]) for x in range(D + 1)]
+    # divided differences on the nodes 0..D, in place: c[k] = f[0, ..., k]
+    for k in range(1, D + 1):
+        for i in range(D, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / k
+    out = Poly.zero()
+    for k in range(D, -1, -1):
+        out = out * Poly((-k, 1)) + c[k]
+    return out
 
 
 def combinatorial_identity_check(alpha: int, k: int, l: int, u_max: int) -> bool:

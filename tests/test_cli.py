@@ -113,6 +113,24 @@ def test_recur(cfg, capsys):
     assert payload["band_ok"] is True
 
 
+
+def test_recur_table_exports(cfg, capsys):
+    argv = ("recur", "--config", cfg(REMARK), "--Q", "x^4+16*x^3", "--nmax", "5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows == sorted(rows, key=lambda r: (r["n"], r["j"]))
+    assert all(set(r) == {"n", "j", "gamma"} for r in rows)
+    _, csv_text, _ = run(capsys, *argv, "--format", "csv")
+    lines = csv_text.strip().split("\n")
+    assert lines[0] == "n,j,gamma"
+    assert len(lines) == len(rows) + 1
+    _, tex, _ = run(capsys, *argv, "--format", "latex")
+    assert tex.startswith("\\documentclass")
+    assert "\\begin{tabular}" in tex and "\\end{document}" in tex
+    assert tex.count("&") >= len(rows)
+
+
 def test_recur_band_override_fails(cfg, capsys):
     code, out, _ = run(capsys, "recur", "--config", cfg(REMARK),
                        "--Q", "x^4+16*x^3", "--nmax", "8", "--band", "3")
@@ -231,3 +249,40 @@ def test_out_of_domain_flags_are_usage_errors(cfg, capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"]["kind"] == "usage"
+
+
+# configs that schemas/family.json rejects, or that divide by zero
+@pytest.mark.parametrize("config", [
+    {"preset": "krall", "alpha": 3.9, "m": 3, "a": ["1", "1/2", "2"]},
+    {"preset": "krall", "alpha": True, "m": 1, "a": ["1"]},
+    {"preset": "krall", "alpha": 2, "m": True, "a": ["1"]},
+    {"preset": "krall", "alpha": 1, "m": 1, "a": [True]},
+    {"preset": "krall", "alpha": 2, "m": 2, "a": ["1", "1/0"]},
+    {"preset": "krall", "alpha": 2, "m": 2, "a": "12"},
+    {"preset": "krall", "alpha": 2, "m": 2, "a": [1, 1], "G": [1]},
+    {"alpha": 7, "G": [1.7], "R": {"1": "x-1"}},
+    {"alpha": 7, "G": [True], "R": {"1": "x-1"}},
+    {"alpha": True, "G": [1], "R": {"1": "x-1"}},
+    {"alpha": "1/0", "G": [1], "R": {"1": "x-1"}},
+    {"alpha": "3.5", "G": [1], "R": {"1": "x-1"}},
+    {"alpha": 7, "G": [1], "R": {"1": 5}},
+    {"alpha": 7, "G": [1], "R": ["x-1"]},
+    {"alpha": 7, "G": [1], "R": {"1": "x-1"}, "m": 1},
+], ids=json.dumps)
+def test_config_rejected(cfg, capsys, config):
+    if "1/0" not in json.dumps(config):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(config, load_schema("family.json"))
+    code, out, err = run(capsys, "check", "--config", cfg(config))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "config"
+
+
+def test_config_integral_float_is_an_integer(cfg, capsys):
+    # the schema reads 2.0 as the integer 2
+    config = dict(KRALL, alpha=2.0)
+    jsonschema.validate(config, load_schema("family.json"))
+    code, out, _ = run(capsys, "preset", "--config", cfg(config))
+    assert code == 0
+    assert json.loads(out)["family"]["alpha"] == "2"

@@ -73,11 +73,13 @@ def render_report(command: str, family: str, fmt: str, workdir: pathlib.Path):
     return code, out.read_bytes()
 
 
-_CERTIFICATES = {}
+@pytest.fixture(scope="module")
+def certificates():
+    return {}
 
 
 @pytest.fixture(autouse=True)
-def certify_once(monkeypatch):
+def certify_once(monkeypatch, certificates):
     """`check` on the degenerate preset scans about 311,000 integers (17 s
     on a 2-vCPU VM); compute each family's certificate once for all three
     formats.  The report is still written by the CLI from the real
@@ -89,9 +91,9 @@ def certify_once(monkeypatch):
 
     def cached(spec):
         key = spec_to_json(spec)
-        if key not in _CERTIFICATES:
-            _CERTIFICATES[key] = real(spec)
-        return _CERTIFICATES[key]
+        if key not in certificates:
+            certificates[key] = real(spec)
+        return certificates[key]
 
     monkeypatch.setattr(casolag.cli, "certify_admissible", cached)
 

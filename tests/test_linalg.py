@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from casolag import InconsistentSystem, Poly, solve_linear
-from casolag.linalg import det_poly, det_rat
+from casolag import InconsistentSystem, solve_linear
+from casolag.linalg import det_rat
 
 
 def test_unique_solution():
@@ -47,14 +47,6 @@ def test_det_rat():
 def test_det_rat_permutation_sign():
     m = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
     assert det_rat(m) == -1
-
-
-def test_det_poly_matches_scalar_eval():
-    x = Poly.x()
-    m = [[x, x + 1], [x - 1, x * x]]
-    d = det_poly(m)
-    for v in (F(0), F(1), F(5), F(-3)):
-        assert d(v) == m[0][0](v) * m[1][1](v) - m[0][1](v) * m[1][0](v)
 
 
 rat3 = st.fractions(min_value=-50, max_value=50, max_denominator=10)

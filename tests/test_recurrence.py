@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from casolag import (FamilySpec, Poly, algebra_probe, expand_in_q,
                      krall_preset, obstruction_test, parse_poly, q_poly,
                      recurrence_table, render, reverify_probe, rho_bound,
-                     rho_recurrence, table_rows_json, table_to_csv,
-                     table_to_latex, three_term_test, verify_band)
+                     rho_recurrence, three_term_test, verify_band)
 
 
 def test_expand_in_q_roundtrip(nonsegment_spec):
@@ -177,17 +176,3 @@ def test_rho_recurrence_krall():
     res_x = rho_recurrence(spec, Poly.x(), 10)
     assert res_x.band == 3 and res_x.passed
 
-
-def test_table_exports(nonsegment_spec):
-    table = recurrence_table(nonsegment_spec, parse_poly("x^4+16*x^3"), 5)
-    rows = table_rows_json(table)
-    assert rows == sorted(rows, key=lambda r: (r["n"], r["j"]))
-    assert all(set(r) == {"n", "j", "gamma"} for r in rows)
-    csv_text = table_to_csv(table)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "n,j,gamma"
-    assert len(lines) == len(rows) + 1
-    tex = table_to_latex(table)
-    assert tex.startswith("\\documentclass")
-    assert "\\begin{tabular}" in tex and "\\end{document}" in tex
-    assert tex.count("&") >= len(rows)
