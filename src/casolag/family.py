@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -149,18 +148,23 @@ def beta(spec: FamilySpec, n: int) -> BetaRow:
     return BetaRow(n, tuple(values))
 
 
-def q_poly(spec: FamilySpec, n: int) -> Poly:
-    """The degree-n family member q_n = sum_j beta_{n,j} L_{n-j}.
+def q_beta(spec: FamilySpec, n: int) -> Tuple[Fraction, ...]:
+    """beta_{n,0..min(m,n)}: q_n's coefficients on L_n, ..., L_{n-min(m,n)}.
 
     Raises DegenerateFamily when Omega(n) = 0, because then beta_{n,0} = 0
     and the degree drops below n.
     """
-    row = beta(spec, n)
-    if row.values[0] == 0:
+    values = beta(spec, n).values
+    if values[0] == 0:
         raise DegenerateFamily(f"Omega({n}) = 0: q_{n} would lose degree")
+    return values[:min(spec.m, n) + 1]
+
+
+def q_poly(spec: FamilySpec, n: int) -> Poly:
+    """The degree-n family member q_n = sum_j beta_{n,j} L_{n-j}."""
     out = Poly.zero()
-    for j in range(min(spec.m, n) + 1):
-        out = out + row.values[j] * laguerre(n - j, spec.alpha)
+    for j, b in enumerate(q_beta(spec, n)):
+        out = out + b * laguerre(n - j, spec.alpha)
     return out
 
 
@@ -309,7 +313,6 @@ def spec_to_json(spec: FamilySpec) -> str:
     return json.dumps(spec.to_json_dict(), sort_keys=True, indent=2)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _JSON_TYPES = {list: "an array", dict: "an object", str: "a string"}
 
 
@@ -323,8 +326,11 @@ def _json_number(v, what: str, rational: bool = False):
     """v read as schemas/family.json reads it: an integer (3 or 3.0, not
     3.5 or true) as an int, or with rational set also a "p/q" string, as a
     Fraction."""
-    if rational and isinstance(v, str) and _RATIONAL.fullmatch(v):
-        return as_rat(v)
+    if rational and isinstance(v, str):
+        try:
+            return as_rat(v)
+        except ValueError as e:
+            raise ValueError(f"{what}: {e}") from None
     if isinstance(v, float) and v.is_integer():
         v = int(v)
     if isinstance(v, int) and not isinstance(v, bool):

@@ -13,6 +13,7 @@ is the inverse.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -24,15 +25,21 @@ RatLike = Union[Fraction, int, str]
 NEG_INF = float("-inf")
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def as_rat(v: RatLike) -> Fraction:
-    """Coerce int / Fraction / 'p/q' string to Fraction.  Refuses floats and bools."""
+    """Coerce int / Fraction / 'p/q' string to Fraction.  Refuses floats and
+    bools, and strings other than -?p(/q)? (no decimals, exponents, spaces)."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
+        if not _RATIONAL.fullmatch(v):
+            raise ValueError(f'not a "p/q" rational: {v!r}')
         try:
-            return Fraction(v.strip())
+            return Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {v!r}") from None
     raise TypeError(f"not an exact rational: {v!r}")
@@ -244,11 +251,14 @@ def render(p: Poly) -> str:
     'p/q' shape, so e.g. 7/2*x^2 parses back to the same polynomial because
     '/' binds tighter than '*' for bare numbers.
     """
-    if p.is_zero():
-        return "0"
+    return _render_terms(reversed(list(enumerate(p.coeffs))))
+
+
+def _render_terms(terms) -> str:
+    """Render (power, coeff) pairs in the given (descending) order, zeros
+    skipped; "0" when nothing is left."""
     parts = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    for k, c in terms:
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
@@ -259,7 +269,7 @@ def render(p: Poly) -> str:
             xpow = "x" if k == 1 else f"x^{k}"
             body = xpow if mag == 1 else f"{rat_str(mag)}*{xpow}"
         parts.append(sign + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
 class LaurentPoly:
@@ -364,15 +374,8 @@ class LaurentPoly:
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPoly(self.low + other.low, out)
+        product = Poly(self.coeffs) * Poly(other.coeffs)
+        return LaurentPoly(self.low + other.low, product.coeffs)
 
     __rmul__ = __mul__
 
@@ -386,22 +389,7 @@ class LaurentPoly:
         return hash(("LaurentPoly", self.low, self.coeffs))
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.highest, self.low - 1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if k == 0:
-                body = rat_str(mag)
-            else:
-                xpow = "x" if k == 1 else f"x^{k}"
-                body = xpow if mag == 1 else f"{rat_str(mag)}*{xpow}"
-            parts.append(sign + body)
-        return "".join(parts)
+        return _render_terms(reversed(list(self.terms())))
 
     def __repr__(self):
         return f"LaurentPoly({self})"

@@ -1,13 +1,17 @@
 """Banded recurrences in the family index and the eigenvalue algebra probe.
 
 Multiplying a family member by a polynomial Q and re-expanding in the family
-gives Q(x) q_n = sum_j gamma_{n,j} q_{n+j}; the expansion is triangular
-because deg q_k = k with known nonzero leading coefficients, so every
-gamma_{n,j} is an exact rational.  A subset of polynomials Q produce BANDED
-tables (gamma_{n,j} = 0 below a fixed shift -s with nonzero extremes); those
-Q form an algebra, probed here by exact nullspace computation: the map
-Q -> gamma_{n,j}(Q) is linear, so "no coefficients below the band through
-row N" is a finite linear system in the coefficients of Q.
+gives Q(x) q_n = sum_j gamma_{n,j} q_{n+j} with exact rational gamma_{n,j}.
+One engine computes every expansion in the Laguerre basis L_t = L_t^alpha:
+it applies Q by Horner, x acting by the three-term rule x L_t = -(t+1) L_{t+1}
++ (2t+alpha+1) L_t - (t+alpha) L_{t-1}, then back-substitutes top down through
+the beta rows of q_k = sum_{j<=min(m,k)} beta_{k,j} L_{k-j}: c_k =
+w_k / beta_{k,0}, then w_{k-j} -= c_k beta_{k,j}.  A subset of polynomials
+Q produce BANDED tables (gamma_{n,j} = 0 below a fixed shift -s with nonzero
+extremes); those Q form an algebra, probed here by exact nullspace
+computation: the map Q -> gamma_{n,j}(Q) is linear, so "no coefficients
+below the band through row N" is a finite linear system in the coefficients
+of Q.
 
 Membership certified by the probe is always relative to the explored range
 (rows up to N, band B); the re-verification helper repeats the band check on
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .family import FamilySpec, q_poly
+from .family import FamilySpec, q_beta
 from .linalg import solve_linear
 from .poly import Poly, rat_str
 
@@ -35,32 +39,42 @@ class RecurrenceTable:
         return self.rows[n].get(j, Fraction(0))
 
 
-def _q_ladder(spec: FamilySpec, top: int) -> List[Poly]:
-    return [q_poly(spec, k) for k in range(top + 1)]
+def _expand(alpha: Fraction, Q: Poly, v: Sequence[Fraction],
+            betas: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """c with Q * sum_t v_t L_t = sum_k c_k q_k, where betas[k] = q_beta(spec, k)
+    for k up to len(v) - 1 + deg Q."""
+    top = len(v) - 1 + Q.degree
+    w = [Fraction(0)] * (top + 1)
+    # x L_t = -(t+1) L_{t+1} + mid[t] L_t - low[t] L_{t-1}
+    mid = [2 * t + alpha + 1 for t in range(top + 1)]
+    low = [t + alpha for t in range(top + 1)]
+    for a in reversed(Q.coeffs):  # Horner: w <- x w + a v
+        xw = [Fraction(0)] * (top + 1)
+        for t, wt in enumerate(w):
+            if wt:
+                xw[t + 1] -= (t + 1) * wt
+                xw[t] += mid[t] * wt
+                if t:
+                    xw[t - 1] -= low[t] * wt
+        if a:
+            for t, vt in enumerate(v):
+                xw[t] += a * vt
+        w = xw
+    c = [Fraction(0)] * (top + 1)  # back-substitution through the beta rows
+    for k in range(top, -1, -1):
+        if w[k]:
+            ck = c[k] = w[k] / betas[k][0]
+            for j in range(1, len(betas[k])):
+                w[k - j] -= ck * betas[k][j]
+    return c
 
 
-def expand_in_q(spec: FamilySpec, p: Poly, qs: Optional[Sequence[Poly]] = None) -> List[Fraction]:
-    """Coefficients c with p = sum_k c_k q_k, by top-down elimination.
-
-    qs may carry precomputed family members (qs[k] = q_k) to share work
-    across many expansions.  Exact: the residual after back-substitution
-    must vanish identically.
-    """
+def expand_in_q(spec: FamilySpec, p: Poly) -> List[Fraction]:
+    """Coefficients c with p = sum_k c_k q_k: the engine applied to p * L_0."""
     if p.is_zero():
         return []
-    d = p.degree
-    if qs is None:
-        qs = _q_ladder(spec, d)
-    coeffs = [Fraction(0)] * (d + 1)
-    rest = p
-    for k in range(d, -1, -1):
-        c = rest.coeff(k)
-        if c != 0:
-            ck = c / qs[k].lead
-            coeffs[k] = ck
-            rest = rest - ck * qs[k]
-    assert rest.is_zero()
-    return coeffs
+    betas = [q_beta(spec, k) for k in range(p.degree + 1)]
+    return _expand(spec.alpha, p, [Fraction(1)], betas)
 
 
 def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
@@ -72,12 +86,12 @@ def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
         raise ValueError("Q must be nonzero")
     if isinstance(n_range, int):
         n_range = range(0, n_range + 1)
-    top = max(n_range) + Q.degree
-    qs = _q_ladder(spec, top)
+    betas = [q_beta(spec, k) for k in range(max(n_range) + Q.degree + 1)]
     rows: Dict[int, Dict[int, Fraction]] = {}
     for n in n_range:
-        c = expand_in_q(spec, Q * qs[n], qs)
-        rows[n] = {k - n: v for k, v in enumerate(c) if v != 0}
+        v = [Fraction(0)] * (n + 1 - len(betas[n])) + list(reversed(betas[n]))
+        c = _expand(spec.alpha, Q, v, betas)
+        rows[n] = {k - n: g for k, g in enumerate(c) if g != 0}
     return RecurrenceTable(Q=Q, n_range=n_range, rows=rows)
 
 
@@ -213,22 +227,9 @@ def algebra_probe(spec: FamilySpec, d: int, band: Optional[int] = None,
         raise ValueError("degree cap must be >= 0")
     B = d if band is None else band
     N = (2 * d + spec.max_g + 10) if n_max is None else n_max
-    top = N + d
-    qs = _q_ladder(spec, top)
-    # column k: expansion table of x^k q_n
-    tables: List[List[List[Fraction]]] = []
-    for k in range(d + 1):
-        mono = Poly.monomial(k)
-        tables.append([expand_in_q(spec, mono * qs[n], qs) for n in range(N + 1)])
-    rows = []
-    for n in range(N + 1):
-        for j in range(-n, -B):
-            row = []
-            for k in range(d + 1):
-                c = tables[k][n]
-                idx = n + j
-                row.append(c[idx] if 0 <= idx < len(c) else Fraction(0))
-            rows.append(row)
+    tables = [recurrence_table(spec, Poly.monomial(k), N) for k in range(d + 1)]
+    rows = [[t.gamma(n, j) for t in tables]
+            for n in range(N + 1) for j in range(-n, -B)]
     if not rows:
         basis = [Poly.monomial(k) for k in range(d + 1)]
     else:

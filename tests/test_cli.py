@@ -11,6 +11,8 @@ REMARK = {"alpha": 7, "G": [1, 2, 5],
 CLOSING = {"alpha": 1, "G": [1, 2, 4],
            "R": {"1": "x+2", "2": "x^2", "4": "x^4+1"}}
 KRALL = {"preset": "krall", "alpha": 2, "m": 2, "a": [1, 1]}
+# Omega(1) = 0
+INADMISSIBLE = {"alpha": "22/7", "G": [2, 3], "R": {"2": "x^2", "3": "x^3"}}
 
 
 @pytest.fixture
@@ -249,6 +251,19 @@ def test_out_of_domain_flags_are_usage_errors(cfg, capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ("recur", "--Q", "x^4+16*x^3", "--nmax", "8"),
+    ("three-term", "--nmax", "6"),
+    ("probe", "--deg", "3"),
+], ids=" ".join)
+def test_degenerate_family_is_reported(cfg, capsys, argv):
+    code, out, err = run(capsys, argv[0], "--config", cfg(INADMISSIBLE), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": {
+        "kind": "degenerate", "message": "Omega(1) = 0: q_1 would lose degree"}}
 
 
 # configs that schemas/family.json rejects, or that divide by zero

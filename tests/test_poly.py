@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from casolag import LaurentPoly, Poly, as_rat, rat_str, render
+from casolag import LaurentPoly, Poly, as_rat, krall_preset, rat_str, render
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 small_polys = st.lists(rationals, min_size=0, max_size=7).map(Poly)
@@ -28,7 +28,14 @@ def test_as_rat_refuses_floats():
     with pytest.raises(TypeError):
         as_rat(0.5)
     assert as_rat("2/3") == F(2, 3)
+    assert as_rat("-12") == F(-12)
     assert as_rat(7) == F(7)
+    for text in ("1.5", "1e3", " 2 ", "+2", "2/-3", "", "1/0"):
+        with pytest.raises(ValueError):
+            as_rat(text)
+    with pytest.raises(ValueError):
+        krall_preset(2, 2, ["0.5", 1])
+    assert krall_preset(2, 2, ["1/2", 1]) == krall_preset(2, 2, [F(1, 2), 1])
 
 
 def test_rat_str():
@@ -111,6 +118,9 @@ def test_laurent_basic():
     assert u.coeff(0) == 0
     assert u.lowest == -3 and u.highest == 1
     assert str(u) == "x+2*x^-3"
+    assert str(LaurentPoly(-2, (F(-1), 0, F(3, 2), 1))) == "x+3/2-x^-2"
+    assert str(LaurentPoly.term(-1, F(-7, 3))) == "-7/3*x^-1"
+    assert str(LaurentPoly.zero()) == "0"
 
 
 def test_laurent_mul_matches_poly():
@@ -120,6 +130,22 @@ def test_laurent_mul_matches_poly():
     shifted = u * LaurentPoly.term(-1, F(1))
     assert shifted.lowest == -1
     assert shifted.coeff(1) == 1
+
+
+laurents = st.builds(LaurentPoly, st.integers(-6, 6),
+                     st.lists(st.one_of(st.just(F(0)), rationals), max_size=5))
+
+
+@given(laurents, laurents)
+def test_laurent_mul_is_termwise_convolution(u, v):
+    termwise = LaurentPoly.from_terms((i + j, a * b) for i, a in u.terms()
+                                      for j, b in v.terms())
+    assert u * v == termwise == v * u
+
+
+@given(small_polys)
+def test_laurent_str_matches_render(p):
+    assert str(LaurentPoly.of_poly(p)) == render(p)
 
 
 def test_laurent_poly_part():

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casolag import (FamilySpec, Poly, algebra_probe, expand_in_q,
-                     krall_preset, obstruction_test, parse_poly, q_poly,
+from casolag import (DegenerateFamily, FamilySpec, Poly, algebra_probe,
+                     expand_in_q, krall_preset, obstruction_test, parse_poly, q_poly,
                      recurrence_table, render, reverify_probe, rho_bound,
                      rho_recurrence, three_term_test, verify_band)
 
@@ -34,6 +34,27 @@ def test_expand_in_q_roundtrip_random(coeffs):
     for k, c in enumerate(out):
         back = back + c * q_poly(spec, k)
     assert back == p
+
+
+# Omega(x) = x - 10: q_0..q_9 exist, q_10 would lose degree
+BOUNDARY = FamilySpec(F(7), (1,), {1: parse_poly("x-9")})
+
+
+def test_ladder_reaches_last_member_before_omega_root():
+    table = recurrence_table(BOUNDARY, Poly.monomial(2), 7)  # uses q_0..q_9
+    assert set(table.rows) == set(range(8))
+    assert len(expand_in_q(BOUNDARY, Poly.monomial(9))) == 10
+
+
+@pytest.mark.parametrize("call", [
+    lambda: recurrence_table(BOUNDARY, Poly.monomial(2), 8),
+    lambda: algebra_probe(BOUNDARY, 2, n_max=8),
+    lambda: expand_in_q(BOUNDARY, Poly.monomial(10)),
+], ids=["recurrence_table", "algebra_probe", "expand_in_q"])
+def test_ladder_stops_at_omega_root(call):
+    with pytest.raises(DegenerateFamily) as e:
+        call()
+    assert str(e.value) == "Omega(10) = 0: q_10 would lose degree"
 
 
 def test_identity_operator(nonsegment_spec):
