@@ -2,27 +2,32 @@
 
 Multiplying a family member by a polynomial Q and re-expanding in the family
 gives Q(x) q_n = sum_j gamma_{n,j} q_{n+j} with exact rational gamma_{n,j}.
-One engine computes every expansion in the Laguerre basis L_t = L_t^alpha:
-it applies Q by Horner, x acting by the three-term rule x L_t = -(t+1) L_{t+1}
-+ (2t+alpha+1) L_t - (t+alpha) L_{t-1}, then back-substitutes top down through
-the beta rows of q_k = sum_{j<=min(m,k)} beta_{k,j} L_{k-j}: c_k =
-w_k / beta_{k,0}, then w_{k-j} -= c_k beta_{k,j}.  A subset of polynomials
-Q produce BANDED tables (gamma_{n,j} = 0 below a fixed shift -s with nonzero
-extremes); those Q form an algebra, probed here by exact nullspace
-computation: the map Q -> gamma_{n,j}(Q) is linear, so "no coefficients
-below the band through row N" is a finite linear system in the coefficients
-of Q.
+One engine computes every expansion in the Laguerre basis L_t = L_t^alpha
+from two steps: the x-step, x acting by the three-term rule x L_t = -(t+1)
+L_{t+1} + (2t+alpha+1) L_t - (t+alpha) L_{t-1}, and the back-substitution,
+top down through the beta rows of q_k = sum_{j<=min(m,k)} beta_{k,j}
+L_{k-j}: c_k = w_k / beta_{k,0}, then w_{k-j} -= c_k beta_{k,j}.  A table
+of one Q applies Q by Horner (x-steps) and back-substitutes once per row.
+A subset of polynomials Q produce BANDED tables (gamma_{n,j} = 0 below a
+fixed shift -s with nonzero extremes); those Q form an algebra, probed here
+by exact nullspace computation: the map Q -> gamma_{n,j}(Q) is linear, so
+"no coefficients below the band through row N" is a finite linear system
+in the coefficients of Q.  The probe builds the tables of x^0..x^d in one
+pass over one beta ladder: one x-step per power and row, each power
+back-substituted.
 
 Membership certified by the probe is always relative to the explored range
-(rows up to N, band B); the re-verification helper repeats the band check on
-a longer table to guard against truncation artifacts.
+(rows up to N, band B).  The re-verification helper guards against
+truncation artifacts: it extends the probe's own monomial rows to a longer
+range and checks each basis element there by linearity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import count, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .family import FamilySpec, q_beta
 from .linalg import solve_linear
@@ -39,29 +44,25 @@ class RecurrenceTable:
         return self.rows[n].get(j, Fraction(0))
 
 
-def _expand(alpha: Fraction, Q: Poly, v: Sequence[Fraction],
-            betas: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """c with Q * sum_t v_t L_t = sum_k c_k q_k, where betas[k] = q_beta(spec, k)
-    for k up to len(v) - 1 + deg Q."""
-    top = len(v) - 1 + Q.degree
-    w = [Fraction(0)] * (top + 1)
-    # x L_t = -(t+1) L_{t+1} + mid[t] L_t - low[t] L_{t-1}
-    mid = [2 * t + alpha + 1 for t in range(top + 1)]
-    low = [t + alpha for t in range(top + 1)]
-    for a in reversed(Q.coeffs):  # Horner: w <- x w + a v
-        xw = [Fraction(0)] * (top + 1)
-        for t, wt in enumerate(w):
-            if wt:
-                xw[t + 1] -= (t + 1) * wt
-                xw[t] += mid[t] * wt
-                if t:
-                    xw[t - 1] -= low[t] * wt
-        if a:
-            for t, vt in enumerate(v):
-                xw[t] += a * vt
-        w = xw
-    c = [Fraction(0)] * (top + 1)  # back-substitution through the beta rows
-    for k in range(top, -1, -1):
+def _x_step(alpha: Fraction, w: Sequence[Fraction]) -> List[Fraction]:
+    """Laguerre coefficients of x * sum_t w_t L_t (one entry longer than w)."""
+    xw = [Fraction(0)] * (len(w) + 1)
+    for t, wt in enumerate(w):
+        if wt:
+            xw[t + 1] -= (t + 1) * wt
+            xw[t] += (2 * t + 1 + alpha) * wt
+            if t:
+                xw[t - 1] -= (t + alpha) * wt
+    return xw
+
+
+def _back_substitute(w: Sequence[Fraction],
+                     betas: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """c with sum_t w_t L_t = sum_k c_k q_k, where betas[k] = q_beta(spec, k)
+    for k < len(w); w itself is left as it is."""
+    w = list(w)
+    c = [Fraction(0)] * len(w)
+    for k in range(len(w) - 1, -1, -1):
         if w[k]:
             ck = c[k] = w[k] / betas[k][0]
             for j in range(1, len(betas[k])):
@@ -69,11 +70,41 @@ def _expand(alpha: Fraction, Q: Poly, v: Sequence[Fraction],
     return c
 
 
+def _expand(alpha: Fraction, Q: Poly, v: Sequence[Fraction],
+            betas: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """c with Q * sum_t v_t L_t = sum_k c_k q_k, where betas[k] = q_beta(spec, k)
+    for k up to len(v) - 1 + deg Q."""
+    w = [Fraction(0)] * (len(v) - 1)
+    for a in reversed(Q.coeffs):  # Horner: w <- x w + a v
+        w = _x_step(alpha, w)
+        if a:
+            for t, vt in enumerate(v):
+                w[t] += a * vt
+    return _back_substitute(w, betas)
+
+
+def _extend_ladder(spec: FamilySpec, betas: List[Tuple[Fraction, ...]],
+                   top: int) -> List[Tuple[Fraction, ...]]:
+    """Append q_beta(spec, k) to betas for k = len(betas)..top, in order, so
+    DegenerateFamily names the first k with Omega(k) = 0."""
+    betas.extend(q_beta(spec, k) for k in range(len(betas), top + 1))
+    return betas
+
+
+def _q_vector(betas: Sequence[Sequence[Fraction]], n: int) -> List[Fraction]:
+    """q_n's Laguerre coefficients: beta_{n,j} on L_{n-j}."""
+    return [Fraction(0)] * (n + 1 - len(betas[n])) + list(reversed(betas[n]))
+
+
+def _gamma_row(n: int, c: Sequence[Fraction]) -> Dict[int, Fraction]:
+    return {k - n: g for k, g in enumerate(c) if g != 0}
+
+
 def expand_in_q(spec: FamilySpec, p: Poly) -> List[Fraction]:
     """Coefficients c with p = sum_k c_k q_k: the engine applied to p * L_0."""
     if p.is_zero():
         return []
-    betas = [q_beta(spec, k) for k in range(p.degree + 1)]
+    betas = _extend_ladder(spec, [], p.degree)
     return _expand(spec.alpha, p, [Fraction(1)], betas)
 
 
@@ -86,13 +117,29 @@ def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
         raise ValueError("Q must be nonzero")
     if isinstance(n_range, int):
         n_range = range(0, n_range + 1)
-    betas = [q_beta(spec, k) for k in range(max(n_range) + Q.degree + 1)]
-    rows: Dict[int, Dict[int, Fraction]] = {}
-    for n in n_range:
-        v = [Fraction(0)] * (n + 1 - len(betas[n])) + list(reversed(betas[n]))
-        c = _expand(spec.alpha, Q, v, betas)
-        rows[n] = {k - n: g for k, g in enumerate(c) if g != 0}
+    betas = _extend_ladder(spec, [], max(n_range) + Q.degree)
+    rows = {n: _gamma_row(n, _expand(spec.alpha, Q, _q_vector(betas, n), betas))
+            for n in n_range}
     return RecurrenceTable(Q=Q, n_range=n_range, rows=rows)
+
+
+def _monomial_tables(spec: FamilySpec, betas: List[Tuple[Fraction, ...]],
+                     n_range: range) -> Iterator[RecurrenceTable]:
+    """Yield the tables of x^0, x^1, x^2, ... on the rows n_range.
+
+    Each power takes one x-step of the previous power's Laguerre vectors and
+    one back-substitution per row.  The ladder betas is extended in place,
+    to n_range.stop - 1 + k just before the table of x^k is built.
+    """
+    top = n_range.stop - 1
+    _extend_ladder(spec, betas, top)
+    ws = {n: _q_vector(betas, n) for n in n_range}
+    for k in count():
+        if k:
+            ws = {n: _x_step(spec.alpha, w) for n, w in ws.items()}
+            _extend_ladder(spec, betas, top + k)
+        rows = {n: _gamma_row(n, _back_substitute(w, betas)) for n, w in ws.items()}
+        yield RecurrenceTable(Q=Poly.monomial(k), n_range=n_range, rows=rows)
 
 
 def _first_outside(table: RecurrenceTable, lo: int,
@@ -207,6 +254,10 @@ class AlgebraProbeResult:
     band: int
     n_max: int
     basis: List[Poly]
+    # the beta ladder q_beta(spec, k) for k <= n_max + degree_cap, and the
+    # tables of x^0..x^degree_cap on rows 0..n_max built from it
+    betas: List[Tuple[Fraction, ...]] = field(repr=False)
+    tables: List[RecurrenceTable] = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -219,15 +270,17 @@ def algebra_probe(spec: FamilySpec, d: int, band: Optional[int] = None,
     all n <= n_max}.
 
     gamma is linear in Q, so the constraints form an exact homogeneous
-    system in the d+1 coefficients of Q; the reduced-echelon nullspace basis
-    (pivots in ascending degree, constant polynomial first) is returned.
-    Defaults: band = d, n_max = 2d + maxG + 10.
+    system in the d+1 coefficients of Q, read off the tables of x^0..x^d
+    (built in one pass over one beta ladder); the reduced-echelon nullspace
+    basis (pivots in ascending degree, constant polynomial first) is
+    returned.  Defaults: band = d, n_max = 2d + maxG + 10.
     """
     if d < 0:
         raise ValueError("degree cap must be >= 0")
     B = d if band is None else band
     N = (2 * d + spec.max_g + 10) if n_max is None else n_max
-    tables = [recurrence_table(spec, Poly.monomial(k), N) for k in range(d + 1)]
+    betas: List[Tuple[Fraction, ...]] = []
+    tables = list(islice(_monomial_tables(spec, betas, range(N + 1)), d + 1))
     rows = [[t.gamma(n, j) for t in tables]
             for n in range(N + 1) for j in range(-n, -B)]
     if not rows:
@@ -235,15 +288,33 @@ def algebra_probe(spec: FamilySpec, d: int, band: Optional[int] = None,
     else:
         sol = solve_linear(rows, None)
         basis = [Poly(vec) for vec in sol.nullspace]
-    return AlgebraProbeResult(degree_cap=d, band=B, n_max=N, basis=basis)
+    return AlgebraProbeResult(degree_cap=d, band=B, n_max=N, basis=basis,
+                              betas=betas, tables=tables)
 
 
 def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10) -> bool:
-    """Re-check every probe basis element on a longer table (rows up to
-    n_max + extra): no coefficients below -band may appear."""
+    """Re-check every probe basis element on rows 0..n_max + extra: no
+    coefficient below -band may appear.
+
+    The probe's own monomial tables (rows 0..n_max) are extended by rows
+    n_max+1..n_max+extra over the probe's beta ladder, and each basis
+    element Q is checked on every row by linearity, gamma_{n,j}(Q) =
+    sum_k Q_k gamma_{n,j}(x^k) over Q's nonzero coefficients.  Powers are
+    added only up to the degree of the element being checked, so the
+    ladder reaches n_max + extra + deg Q and no further.
+    """
     N = result.n_max + extra
-    return all(_first_outside(recurrence_table(spec, Q, N), -result.band) is None
-               for Q in result.basis)
+    more = _monomial_tables(spec, list(result.betas), range(result.n_max + 1, N + 1))
+    rows: List[Dict[int, Dict[int, Fraction]]] = []  # rows[k][n] = gamma_{n,.}(x^k)
+    for Q in result.basis:
+        while len(rows) <= Q.degree:
+            rows.append({**result.tables[len(rows)].rows, **next(more).rows})
+        terms = [(k, a) for k, a in enumerate(Q.coeffs) if a]
+        for n in range(N + 1):
+            for j in range(-n, -result.band):
+                if sum(a * rows[k][n].get(j, 0) for k, a in terms) != 0:
+                    return False
+    return True
 
 
 @dataclass

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import casolag.family
 from casolag.cli import main
 
 REMARK = {"alpha": 7, "G": [1, 2, 5],
@@ -165,6 +166,23 @@ def test_probe(cfg, capsys):
     jsonschema.validate(payload, report_schema("probe"))
     assert payload["basis"] == ["1", "x^3+6/7*x^2"]
     assert payload["reverified"] is True
+
+
+def test_probe_computes_each_beta_row_at_most_twice(cfg, capsys, monkeypatch):
+    # probe --deg 8 on REMARK (the benchmark's generic family) needs
+    # q_0..q_39 for the probe and q_0..q_49 for its re-verification
+    calls = []
+    beta = casolag.family.beta
+
+    def counted(spec, n):
+        calls.append(n)
+        return beta(spec, n)
+
+    monkeypatch.setattr(casolag.family, "beta", counted)
+    code, out, _ = run(capsys, "probe", "--config", cfg(REMARK), "--deg", "8")
+    assert code == 0
+    assert json.loads(out)["reverified"] is True
+    assert len(calls) <= 90
 
 
 def test_preset_expansion(cfg, capsys):

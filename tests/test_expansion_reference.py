@@ -5,6 +5,10 @@ as dense power-basis polynomials and peel off the top coefficient of the
 residual, degree by degree.  It shares nothing with the engine but q_poly,
 so exact agreement on recurrence rows, on expand_in_q and on probe bases
 checks the β-row back-substitution and the three-term x action.
+
+`reference_reverify` is the re-verification the probe used to run: a fresh
+table of each basis element on the longer range.  reverify_probe instead
+extends the probe's own monomial tables and checks the basis by linearity.
 """
 
 from fractions import Fraction as F
@@ -13,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from casolag import (FamilySpec, Poly, algebra_probe, degenerate_preset,
                      expand_in_q, krall_preset, parse_poly, q_poly,
-                     recurrence_table, solve_linear)
+                     recurrence_table, reverify_probe, solve_linear)
+from casolag.recurrence import _first_outside
 
 # the five golden families (tests/test_golden.py)
 FAMILIES = {
@@ -73,6 +78,11 @@ def reference_probe(name, d, band, n_max):
     return [Poly(vec) for vec in solve_linear(rows, None).nullspace]
 
 
+def reference_reverify(spec, res, extra=10):
+    return all(_first_outside(recurrence_table(spec, Q, res.n_max + extra), -res.band) is None
+               for Q in res.basis)
+
+
 small_rats = st.one_of(st.just(F(0)),
                        st.fractions(min_value=-9, max_value=9, max_denominator=5))
 families = st.sampled_from(sorted(FAMILIES))
@@ -103,3 +113,25 @@ def test_probe_basis_matches_reference(name, d, data):
     n_max = data.draw(st.one_of(st.none(), st.integers(0, 12)), label="n_max")
     res = algebra_probe(FAMILIES[name], d, band=band, n_max=n_max)
     assert res.basis == reference_probe(name, d, band, n_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(families, st.integers(0, 4), st.data())
+def test_reverify_matches_reference(name, d, data):
+    # small n_max truncates the system, so spurious members that fail
+    # re-verification appear alongside true ones
+    spec = FAMILIES[name]
+    band = data.draw(st.one_of(st.none(), st.integers(0, d)), label="band")
+    n_max = data.draw(st.one_of(st.none(), st.integers(0, 12)), label="n_max")
+    extra = data.draw(st.integers(0, 10), label="extra")
+    res = algebra_probe(spec, d, band=band, n_max=n_max)
+    for k, table in enumerate(res.tables):
+        assert table.rows == recurrence_table(spec, Poly.monomial(k), res.n_max).rows
+    assert reverify_probe(spec, res, extra) == reference_reverify(spec, res, extra)
+
+
+def test_truncated_probe_fails_reverification():
+    spec = FAMILIES["nonsegment"]
+    res = algebra_probe(spec, 4, n_max=5)
+    assert reference_reverify(spec, res) is False
+    assert reverify_probe(spec, res) is False

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from casolag import (DegenerateFamily, FamilySpec, Poly, algebra_probe,
                      expand_in_q, krall_preset, obstruction_test, parse_poly, q_poly,
                      recurrence_table, render, reverify_probe, rho_bound,
                      rho_recurrence, three_term_test, verify_band)
+from casolag.cli import main
 
 
 def test_expand_in_q_roundtrip(nonsegment_spec):
@@ -55,6 +57,24 @@ def test_ladder_stops_at_omega_root(call):
     with pytest.raises(DegenerateFamily) as e:
         call()
     assert str(e.value) == "Omega(10) = 0: q_10 would lose degree"
+
+
+# Omega(x) = x^2 - 92/3 x + 20 vanishes at n = 30 only
+LATE_ROOT = FamilySpec(F(7, 2), (2,), {2: parse_poly("x^2-86/3*x-29/3")})
+
+
+def test_reverify_ladder_stops_at_basis_degree(tmp_path, capsys):
+    # rows up to n_max + 10 = 28 of Q = 1 need q_0..q_28 only; a ladder
+    # taken to n_max + 10 + d = 30 would meet the root
+    res = algebra_probe(LATE_ROOT, 2, n_max=18)
+    assert [render(p) for p in res.basis] == ["1"]
+    assert reverify_probe(LATE_ROOT, res) is True
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"alpha": "7/2", "G": [2],
+                                "R": {"2": "x^2-86/3*x-29/3"}}))
+    code = main(["probe", "--config", str(path), "--deg", "2", "--nmax", "18"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["reverified"] is True
 
 
 def test_identity_operator(nonsegment_spec):
