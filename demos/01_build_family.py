@@ -20,8 +20,9 @@ spec = FamilySpec(F(7), (1, 2, 5), {
 cert = certify_admissible(spec)
 print("determinant:", render(cert.omega))
 print("admissible: ", cert.passed)
-print("scanned n <=", cert.integer_scan_bound, "(beyond the root bound the")
-print("leading term dominates, so the scan is a proof, not a heuristic)")
+print("searched n <=", cert.integer_scan_bound, "(beyond the root bound the")
+print("leading term dominates, and Sturm sequences count every root below")
+print("it exactly, so the certificate is a proof, not a heuristic)")
 print()
 
 for n in range(6):

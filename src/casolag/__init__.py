@@ -16,7 +16,7 @@ from .forms import (BilinearForm, KappaMatrix, OrthoReport, VariantError,
 from .laguerre import laguerre
 from .linalg import InconsistentSystem, LinearSolution, solve_linear
 from .parsing import ParseError, parse_poly
-from .poly import LaurentPoly, Poly, Rat, as_rat, rat_str, render
+from .poly import LaurentPoly, Poly, Rat, as_rat, integer_roots, rat_str, render
 from .recurrence import (AlgebraProbeResult, ObstructionResult,
                          RecurrenceTable, RhoRecurrenceResult, ThreeTermResult,
                          algebra_probe, expand_in_q, obstruction_test,
@@ -38,7 +38,7 @@ __all__ = [
     "binom_rat", "casoratian", "certify_admissible", "closed_form_moment",
     "combinatorial_identity_check",
     "degenerate_preset", "expand_in_q", "from_binomial_basis", "gamma_ratio",
-    "kappa_matrix", "kappa_solve", "krall_preset", "laguerre",
+    "integer_roots", "kappa_matrix", "kappa_solve", "krall_preset", "laguerre",
     "match_krall_parameters", "obstruction_test", "omega",
     "ortho_check", "parse_poly", "poch", "q_poly", "rat_str",
     "recurrence_table", "reduce_representation", "render", "reverify_probe",

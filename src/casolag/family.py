@@ -12,8 +12,8 @@ must not vanish at any nonnegative integer (admissibility); then
 
 with beta_{n,j} the signed maximal minors of the (m+1)-column value matrix
 (R_g(n-i))_{i=0..m}, is a degree-n polynomial for every n.  Admissibility is
-certified, not sampled: Omega is a polynomial, so nonvanishing on all
-nonnegative integers reduces to a finite scan below a root bound.
+certified, not sampled: Omega is a polynomial, so its nonnegative integer
+roots lie below a root bound, where Sturm sequences isolate them exactly.
 
 Seed leading coefficients are not forced to 1/g!: rescaling a seed only
 rescales every q_n by the same constant, and all invariants used downstream
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .laguerre import laguerre
 from .linalg import det_rat, solve_linear, InconsistentSystem
 from .parsing import parse_poly
-from .poly import Poly, as_rat, rat_str, render
+from .poly import Poly, as_rat, integer_roots, rat_str, render
 from .special import binom_poly, poch
 
 
@@ -115,8 +115,10 @@ def certify_admissible(spec: FamilySpec) -> AdmissibilityCertificate:
     """Certify Omega(n) != 0 for every integer n >= 0.
 
     All real roots of Omega lie strictly below the Cauchy bound
-    1 + max_k |a_k|/|a_d|, so scanning the integers up to its ceiling is a
-    complete check.
+    1 + max_k |a_k|/|a_d|, so Omega's integer roots in [0, ceil(bound)],
+    isolated by Sturm sequences (poly.integer_roots), are all of its
+    nonnegative integer roots: the certificate is complete, and its cost is
+    polynomial in the bit size of Omega.
     """
     om = omega(spec)
     if om.is_zero():
@@ -124,9 +126,9 @@ def certify_admissible(spec: FamilySpec) -> AdmissibilityCertificate:
     lead = abs(om.lead)
     bound = max((abs(c) / lead for c in om.coeffs[:-1]), default=Fraction(0))
     scan = math.ceil(1 + bound)
-    for n in range(scan + 1):
-        if om(n) == 0:
-            return AdmissibilityCertificate(om, scan, "fail", fail_n=n)
+    roots = integer_roots(om, 0, scan)
+    if roots:
+        return AdmissibilityCertificate(om, scan, "fail", fail_n=roots[0])
     return AdmissibilityCertificate(om, scan, "pass")
 
 

@@ -13,6 +13,7 @@ is the inverse.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Union
@@ -270,6 +271,81 @@ def _render_terms(terms) -> str:
             body = xpow if mag == 1 else f"{rat_str(mag)}*{xpow}"
         parts.append(sign + body)
     return "".join(parts) or "0"
+
+
+def integer_roots(p: Poly, lo: int, hi: int) -> list:
+    """The integers n with lo <= n <= hi and p(n) = 0, ascending.
+
+    Sturm's theorem: along the chain s, s', ..., s_{k+1} = -(s_{k-1} mod
+    s_k) of a square-free s, the sign changes (zeros skipped) at a minus
+    those at b count the distinct real roots of s in (a, b].  s is
+    p / gcd(p, p'), which has p's roots, each simple; on p itself a multiple
+    root zeroes every chain member there and goes uncounted.  Bisection
+    keeps only the integer intervals (a, b] that hold a root, down to width
+    1, where p is evaluated exactly at b: O(deg p * log2(hi - lo + 2)) chain
+    evaluations, polynomial in the bit size of p, lo and hi.
+    """
+    if p.is_zero():
+        raise ValueError("the zero polynomial vanishes at every integer")
+    if hi < lo:
+        return []
+    s = _primitive(_divmod(p.coeffs, _gcd(p.coeffs, p.deriv().coeffs))[0])
+    chain = [s, _primitive(Poly(s).deriv().coeffs)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _primitive(_divmod(chain[-2], chain[-1])[1])])
+    roots = []
+    todo = [(lo - 1, _sign_changes(chain, lo - 1), hi, _sign_changes(chain, hi))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if p(b) == 0:
+                roots.append(b)
+            continue
+        c = (a + b) // 2
+        vc = _sign_changes(chain, c)
+        todo += [(c, vc, b, vb), (a, va, c, vc)]
+    return roots
+
+
+def _sign_changes(chain, x: int) -> int:
+    signs = []
+    for cs in chain:
+        v = 0
+        for c in reversed(cs):
+            v = v * x + c
+        if v:
+            signs.append(v > 0)
+    return sum(u != w for u, w in zip(signs, signs[1:]))
+
+
+def _primitive(cs) -> list:
+    """Positive rational multiple of cs with coprime integer coefficients."""
+    den = math.lcm(*(Fraction(c).denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _divmod(a, b):
+    """Quotient and remainder of ascending coefficient lists, b[-1] != 0."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(b) - 1] / b[-1]
+        for i, bi in enumerate(b):
+            r[k + i] -= q[k] * bi
+    r = r[:len(b) - 1]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _gcd(a, b) -> list:
+    while b:
+        a, b = b, _primitive(_divmod(a, b)[1])
+    return a
 
 
 class LaurentPoly:

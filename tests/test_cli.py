@@ -68,6 +68,18 @@ def test_check_fail_exit_code(cfg, capsys):
     assert payload["fail_n"] == 1
 
 
+def test_check_fail_far_root(cfg, capsys):
+    # a root near 10^9 is isolated, not reached by a scan
+    far = {"alpha": 7, "G": [1], "R": {"1": "x-1000000000"}}
+    code, out, err = run(capsys, "check", "--config", cfg(far))
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, report_schema("check"))
+    assert payload["omega"] == "x-1000000001"
+    assert (payload["admissible"], payload["fail_n"], payload["scan_bound"]) == \
+        (False, 1000000001, 1000000002)
+
+
 def test_qpoly(cfg, capsys):
     code, out, _ = run(capsys, "qpoly", "--config", cfg(REMARK), "--nmax", "3")
     assert code == 0

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import casolag.family
+import casolag.poly
 from casolag import (DegenerateFamily, FamilySpec, InvalidPreset, Poly, beta,
                      certify_admissible, degenerate_preset, krall_preset,
                      laguerre, match_krall_parameters, omega, parse_poly,
@@ -64,6 +66,43 @@ def test_certify_fail_at_one():
     cert = certify_admissible(spec)
     assert omega(spec)(F(0)) != 0
     assert cert.fail_n == 1
+
+
+def test_certify_far_root():
+    # Omega = R(x-1) = x - 1000000001; a scan would evaluate 10^9 points
+    spec = FamilySpec(F(7), (1,), {1: parse_poly("x-1000000000")})
+    cert = certify_admissible(spec)
+    assert (cert.verdict, cert.fail_n, cert.integer_scan_bound) == \
+        ("fail", 1000000001, 1000000002)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(F(7), (1,), {1: parse_poly("x-1000000000")}),
+    FamilySpec(F(7), (1,), {1: parse_poly("2*x-100001")}),
+    degenerate_preset(2, 4, [1, 2, 3, 5]),   # scan bound 311041, degree 8
+    FamilySpec(F(22, 7), (2, 3), {2: parse_poly("x^2"), 3: parse_poly("x^3")}),
+], ids=["far-root", "wide", "degenerate", "fail-at-one"])
+def test_certify_evaluates_omega_polylog_times(spec, monkeypatch):
+    """At most 2 * deg * log2(scan bound) evaluations of Omega or of its
+    Sturm chain (poly._sign_changes evaluates the whole chain at a point)."""
+    om = omega(spec)
+    bound = math.ceil(1 + max(abs(c / om.lead) for c in om.coeffs[:-1]))
+    budget = 2 * om.degree * math.ceil(math.log2(bound + 2))
+    calls = 0
+
+    def counted(fn):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= budget, f"more than {budget} evaluations"
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(casolag.family, "omega", lambda _spec: om)
+    monkeypatch.setattr(Poly, "__call__", counted(Poly.__call__))
+    monkeypatch.setattr(casolag.poly, "_sign_changes", counted(casolag.poly._sign_changes))
+    cert = certify_admissible(spec)
+    assert cert.integer_scan_bound == bound and 0 < calls <= budget
 
 
 def test_beta_row_structure(nonsegment_spec):

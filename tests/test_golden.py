@@ -73,31 +73,6 @@ def render_report(command: str, family: str, fmt: str, workdir: pathlib.Path):
     return code, out.read_bytes()
 
 
-@pytest.fixture(scope="module")
-def certificates():
-    return {}
-
-
-@pytest.fixture(autouse=True)
-def certify_once(monkeypatch, certificates):
-    """`check` on the degenerate preset scans about 311,000 integers (17 s
-    on a 2-vCPU VM); compute each family's certificate once for all three
-    formats.  The report is still written by the CLI from the real
-    certificate."""
-    import casolag.cli
-    from casolag.family import spec_to_json
-
-    real = casolag.cli.certify_admissible
-
-    def cached(spec):
-        key = spec_to_json(spec)
-        if key not in certificates:
-            certificates[key] = real(spec)
-        return certificates[key]
-
-    monkeypatch.setattr(casolag.cli, "certify_admissible", cached)
-
-
 def assert_matches_golden(command, family, fmt, workdir):
     code, report = render_report(command, family, fmt, workdir)
     expected = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
