@@ -27,7 +27,6 @@ from .parsing import ParseError, parse_poly
 from .poly import Poly, rat_str, render
 from .recurrence import (algebra_probe, recurrence_table, reverify_probe,
                          three_term_test, verify_band)
-from .special import PoleError
 
 USAGE_ERROR = 1
 VERDICT_FAIL = 2
@@ -283,8 +282,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as CliError instead of printing and exiting."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="casolag",
         description="Exact computations with Casoratian-seeded Laguerre type families.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -315,13 +321,8 @@ def _error_json(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage problems; remap to the usage code
-        return USAGE_ERROR if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         for flag, value in (("--nmax", args.nmax), ("--deg", args.deg), ("--band", args.band)):
             if value is not None and value < 0:
                 raise CliError(f"{flag} must be >= 0, got {value}")
@@ -339,7 +340,7 @@ def main(argv=None) -> int:
     except CliError as e:
         _error_json(e.kind, str(e))
         return USAGE_ERROR
-    except (VariantError, PoleError) as e:
+    except VariantError as e:
         _error_json("variant", str(e))
         return USAGE_ERROR
     except DegenerateFamily as e:
@@ -348,6 +349,8 @@ def main(argv=None) -> int:
     except OSError as e:
         _error_json("io", str(e))
         return USAGE_ERROR
+    except SystemExit as e:  # --help; usage errors raise CliError
+        return 0 if e.code in (0, None) else USAGE_ERROR
 
 
 if __name__ == "__main__":

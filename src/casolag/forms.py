@@ -5,21 +5,28 @@ rationals:
 
 * generic: defined whenever alpha is not an integer <= max(G).  Pairs
       <p,q> = int p q mu_{alpha-m} + sum_i q^(i)(0)/i! int p U_i mu_alpha,
-  where the U_i are Laurent corrections built from the seeds; negative
-  powers are integrated by the analytic continuation of the Gamma ratios.
+  where the U_i are Laurent corrections built from the seeds.
 
 * xi: for positive integer alpha <= max(G), where the generic form hits
   Gamma poles.  The first integral gains a derivative of order
-  max(0, m-alpha) and drops to the weight parameter max(0, alpha-m); the
-  Laurent corrections are truncated at power -alpha; the truncated tail
-  reappears as a discrete part in derivative values at 0.  All integrals
-  are then pole-free.
+  d = max(0, m-alpha) and drops to the weight parameter max(0, alpha-m);
+  the Laurent corrections are truncated at power -alpha; the truncated tail
+  reappears as a discrete part in derivative values at 0.
 
-Both variants are evaluated by one routine, BilinearForm.inner, over one
-moment functional g(s) = Gamma(alpha+s)/Gamma(alpha): the first integral
-is a termwise sum of g, and the correction part of x^a paired with x^i is
-a per-form row functional c_i[a], built lazily from U_i (and, for xi, the
-discrete part) and reused by every later pairing.
+Both variants cancel to one Gram matrix on monomials.  With d = 0 for the
+generic variant, w^g the binomial-basis coefficients of the seed R_g and
+W_b[l] = sum_{g >= l} kappa_b^g w_l^g for l = 0..maxG:
+
+    <x^a, x^b> = sum_l (alpha-l)_a W_b[l]          for b < m,
+    <x^a, x^b> = b!/(b-d)! (alpha)_(a+b-m+1)       for b >= m.
+
+For b < m the head -(b-m+alpha+1)_d x^(b-m) of U_b integrates to minus the
+weight integral, because (b-m+alpha+1)_d = b!/(b-d)!; each seed term
+kappa (alpha-l)_l w_l x^(-l-1) integrates to kappa (alpha-l)_a w_l; and for
+xi the discrete part supplies that same term for every l >= alpha+a, while
+(alpha-l)_a = 0 for alpha <= l < alpha+a.  For b >= m every shift is at
+least 1, so the weight moments are plain Pochhammer symbols and no Gamma
+pole can occur.  The variant survives only in d.
 
 The kappa coefficients entering the corrections are solved once per family:
 row i annihilates the seed values at -1..-(m-1-i) and is normalized to give
@@ -29,14 +36,15 @@ a canonical function of the family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .family import DegenerateFamily, FamilySpec, q_poly
 from .linalg import InconsistentSystem, solve_linear
 from .poly import LaurentPoly, Poly, as_rat
-from .special import binom_rat, gamma_ratio, poch, to_binomial_basis
+from .special import binom_rat, poch, to_binomial_basis
 
 
 class VariantError(Exception):
@@ -85,21 +93,25 @@ def _seed_w(spec: FamilySpec, g: int) -> List[Fraction]:
     return to_binomial_basis(spec.R[g])
 
 
-def _correction(spec: FamilySpec, kappa_row: Sequence, i: int,
-                l_cap: int, head: Fraction) -> LaurentPoly:
-    """-head x^(i-m) + sum_g kappa^g sum_{l <= min(g, l_cap)} (alpha-l)_l w_l^g x^(-l-1),
-    with w^g the binomial-basis coefficients of the seed R_g."""
-    terms = [(i - spec.m, -head)] if head != 0 else []
+def _seed_weights(spec: FamilySpec, kappa_row: Sequence) -> List[Fraction]:
+    """W[l] = sum_{g >= l} kappa^g w_l^g for l = 0..maxG."""
+    W = [Fraction(0)] * (spec.max_g + 1)
     for kap, g in zip(kappa_row, spec.G):
         kap = as_rat(kap)
-        if kap == 0:
-            continue
-        w = _seed_w(spec, g)
-        for l in range(min(g, l_cap) + 1):
-            c = kap * poch(spec.alpha - l, l) * w[l]
-            if c != 0:
-                terms.append((-l - 1, c))
-    return LaurentPoly.from_terms(terms)
+        if kap != 0:
+            for l, wl in enumerate(_seed_w(spec, g)):
+                W[l] += kap * wl
+    return W
+
+
+def _correction(spec: FamilySpec, kappa_row: Sequence, i: int, d: int,
+                l_lo: int = 0) -> LaurentPoly:
+    """-(i-m+alpha+1)_d x^(i-m) + sum_{l=l_lo}^{maxG} (alpha-l)_l W[l] x^(-l-1),
+    with W the row's seed weights."""
+    W = _seed_weights(spec, kappa_row)
+    return LaurentPoly.from_terms(
+        [(i - spec.m, -poch(i - spec.m + spec.alpha + 1, d))]
+        + [(-l - 1, poch(spec.alpha - l, l) * W[l]) for l in range(l_lo, spec.max_g + 1)])
 
 
 def u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
@@ -107,38 +119,25 @@ def u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
 
         U_i = -x^(i-m) + sum_g kappa^g sum_{l=0}^g (alpha-l)_l w_l^g x^(-l-1).
     """
-    return _correction(spec, kappa_row, i, spec.max_g, Fraction(1))
+    return _correction(spec, kappa_row, i, 0)
 
 
 def u_function_alt(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
     """Collapsed form of u_function, valid when kappa_row annihilates the
     seed values at -1..-(m-1-i): the powers above x^(i-m) cancel and
 
-        U_i = -x^(i-m) + sum_{l=m-i-1}^{maxG} (alpha-l)_l x^(-l-1)
-                              sum_{g >= l} kappa^g w_l^g.
+        U_i = -x^(i-m) + sum_{l=m-i-1}^{maxG} (alpha-l)_l W[l] x^(-l-1).
     """
-    alpha = spec.alpha
-    terms = [(i - spec.m, Fraction(-1))]
-    w_by_g = {g: _seed_w(spec, g) for g in spec.G}
-    for l in range(max(spec.m - i - 1, 0), spec.max_g + 1):
-        inner = Fraction(0)
-        for kap, g in zip(kappa_row, spec.G):
-            if g >= l:
-                inner += as_rat(kap) * w_by_g[g][l]
-        c = poch(alpha - l, l) * inner
-        if c != 0:
-            terms.append((-l - 1, c))
-    return LaurentPoly.from_terms(terms)
+    return _correction(spec, kappa_row, i, 0, max(spec.m - i - 1, 0))
 
 
 def xi_u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
-    """Laurent correction of the xi variant for row i: u_function with l
-    capped at alpha-1 (the tail moves to the discrete part) and the x^(i-m)
-    head scaled by (i-m+alpha+1)_{max(0,m-alpha)}, which vanishes exactly
-    for the rows where that power would reach a Gamma pole."""
-    alpha = _xi_alpha(spec)
-    head = poch(Fraction(i - spec.m + alpha + 1), max(0, spec.m - alpha))
-    return _correction(spec, kappa_row, i, alpha - 1, head)
+    """Laurent correction of the xi variant for row i: u_function with the
+    x^(i-m) head scaled by (i-m+alpha+1)_{max(0,m-alpha)}, which vanishes
+    exactly for the rows where that power would reach a Gamma pole.  The
+    terms with l >= alpha drop out, since (alpha-l)_l = 0 there; they move
+    to the discrete part."""
+    return _correction(spec, kappa_row, i, max(0, spec.m - _xi_alpha(spec)))
 
 
 def _xi_alpha(spec: FamilySpec) -> int:
@@ -159,16 +158,16 @@ def _check_generic(spec: FamilySpec) -> None:
 class BilinearForm:
     """A family's bilinear form with a fixed kappa matrix and variant.
 
-    Both variants pair through the same moment functional
-    g(s) = Gamma(alpha+s)/Gamma(alpha), memoised per form:
+    Pairs by the Gram formula of the module docstring; the variant only
+    chooses d.  The moments (alpha)_s and the m columns
+    c_b[a] = sum_l (alpha-l)_a W_b[l] grow as longer polynomials are paired
+    and are reused by every later pairing:
 
-        <p,q> = sum_t (p q^(d))_t g(t+sigma) + sum_{i<m} q_i sum_a p_a c_i[a],
+        <p,q> = sum_{b<m} q_b sum_a p_a c_b[a]
+              + sum_{b>=m} q_b b!/(b-d)! sum_a p_a (alpha)_(a+b-m+1).
 
-    with (d, sigma) = (0, 1-m) for the generic variant and
-    (max(0, m-alpha), max(0, alpha-m)+1-alpha) for xi.  The row functional
-    c_i[a] = sum_{(t,u) in U_i} u g(a+t+1) integrates x^a against the
-    correction U_i; for xi it also carries the discrete part
-    sum_{g >= alpha+a} kappa^g sum_{l=alpha+a}^g (alpha-l)_a w_l^g.
+    corrections() builds the Laurent corrections U_i themselves, which the
+    pairing does not need.
     """
 
     def __init__(self, spec: FamilySpec, kappa: Optional[KappaMatrix], variant: str):
@@ -176,17 +175,16 @@ class BilinearForm:
             raise ValueError(f"unknown variant {variant!r}")
         if variant == "generic":
             _check_generic(spec)
-            self._alpha_int = None
-            self._deriv, self._shift = 0, 1 - spec.m
+            self._d = 0
         else:
-            a = self._alpha_int = _xi_alpha(spec)
-            self._deriv, self._shift = max(0, spec.m - a), max(0, a - spec.m) + 1 - a
+            self._d = max(0, spec.m - _xi_alpha(spec))
         self.spec = spec
         self.kappa = kappa if kappa is not None else kappa_matrix(spec)
         self.variant = variant
         self._corrections = None
-        self._moments: Dict[int, Fraction] = {}
-        self._rows: List[List[Fraction]] = [[] for _ in range(spec.m)]
+        self._moments = [Fraction(1)]  # (alpha)_s for s = 0, 1, ...
+        self._weights = [_seed_weights(spec, self.kappa.row(b)) for b in range(spec.m)]
+        self._columns: List[List[Fraction]] = [[] for _ in range(spec.m)]
 
     @classmethod
     def generic(cls, spec: FamilySpec, kappa: Optional[KappaMatrix] = None):
@@ -197,43 +195,40 @@ class BilinearForm:
         return cls(spec, kappa, "xi")
 
     def corrections(self) -> List[LaurentPoly]:
+        """The U_i: u_function for the generic variant, xi_u_function for xi."""
         if self._corrections is None:
-            build = u_function if self.variant == "generic" else xi_u_function
-            self._corrections = [build(self.spec, self.kappa.row(i), i)
+            self._corrections = [_correction(self.spec, self.kappa.row(i), i, self._d)
                                  for i in range(self.spec.m)]
         return self._corrections
 
-    def _moment(self, s: int) -> Fraction:
-        v = self._moments.get(s)
-        if v is None:
-            v = self._moments[s] = gamma_ratio(self.spec.alpha, s)
-        return v
+    def _column(self, b: int, n: int) -> List[Fraction]:
+        """c_b[a] for a < n at least."""
+        col = self._columns[b]
+        for a in range(len(col), n):
+            col.append(sum((poch(self.spec.alpha - l, a) * w
+                            for l, w in enumerate(self._weights[b]) if w != 0), Fraction(0)))
+        return col
 
-    def _row_entry(self, i: int, a: int) -> Fraction:
-        v = sum((u * self._moment(a + t + 1) for t, u in self.corrections()[i].terms()),
-                Fraction(0))
-        alpha = self._alpha_int
-        if alpha is not None:
-            for kap, g in zip(self.kappa.row(i), self.spec.G):
-                if g >= alpha + a and kap != 0:
-                    w = _seed_w(self.spec, g)
-                    v += as_rat(kap) * sum(poch(self.spec.alpha - l, a) * w[l]
-                                           for l in range(alpha + a, g + 1))
-        return v
+    def _moments_to(self, s: int) -> List[Fraction]:
+        """(alpha)_t for t <= s at least, by (alpha)_(t+1) = (alpha)_t (alpha+t)."""
+        g = self._moments
+        while len(g) <= s:
+            g.append(g[-1] * (self.spec.alpha + len(g) - 1))
+        return g
 
     def inner(self, p: Poly, q: Poly) -> Fraction:
-        """<p, q> divided by Gamma(alpha); pole-free on both variants."""
+        """<p, q> divided by Gamma(alpha): sum_{a,b} p_a q_b <x^a, x^b>."""
+        m, pc = self.spec.m, p.coeffs
         total = Fraction(0)
-        for t, c in enumerate((p * q.deriv(self._deriv)).coeffs):
-            if c != 0:
-                total += c * self._moment(t + self._shift)
-        for i, row in enumerate(self._rows):
-            qi = q.coeff(i)  # q^(i)(0)/i!
-            if qi == 0:
+        for b, qb in enumerate(q.coeffs):
+            if qb == 0:
                 continue
-            for a in range(len(row), len(p.coeffs)):
-                row.append(self._row_entry(i, a))
-            total += qi * sum((pa * row[a] for a, pa in enumerate(p.coeffs) if pa != 0),
+            if b < m:
+                gram, off = self._column(b, len(pc)), 0
+            else:
+                gram, off = self._moments_to(len(pc) + b - m), b - m + 1
+                qb *= math.perm(b, self._d)
+            total += qb * sum((pa * gram[a + off] for a, pa in enumerate(pc) if pa != 0),
                               Fraction(0))
         return total
 

@@ -3,7 +3,7 @@
 The parameter alpha is a rational number throughout, and each L_n^alpha is
 memoised per (n, alpha).  Integrals against the Laguerre weight are not
 computed here: the bilinear forms in forms.py reduce every one of them to
-the Gamma ratios of special.gamma_ratio.
+Pochhammer symbols (special.poch) in one Gram formula.
 """
 
 from __future__ import annotations

@@ -262,6 +262,31 @@ def test_unknown_command_usage_error(capsys):
     assert code == 1
 
 
+# argparse's own errors; CONFIG stands for a valid config path
+@pytest.mark.parametrize("argv", [
+    ("ortho", "--config", "CONFIG", "--nmax", "abc"),
+    ("ortho", "--nmax", "3"),
+    ("check", "--config", "CONFIG", "--bogus", "1"),
+    ("check", "--config", "CONFIG", "--format", "xml"),
+    ("frobnicate", "--config", "CONFIG"),
+    (),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_errors_are_json_usage_errors(cfg, capsys, argv):
+    path = cfg(REMARK)
+    code, out, err = run(capsys, *(path if a == "CONFIG" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("ortho", "--help")], ids=" ".join)
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("usage: casolag")
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--nmax", "-1"),
     ("qpoly", "--nmax", "-3"),

@@ -1,25 +1,47 @@
-"""Differential test of BilinearForm.inner against the direct pairing
-algorithm: termwise Gamma ratios over p q^(d), over the Laurent products
-p U_i, and, for the xi variant, an explicit loop over the discrete part."""
+"""Differential test of BilinearForm.inner's Gram formula against the
+direct pairing algorithm: termwise Gamma ratios over p q^(d), over the
+Laurent products p U_i with U_i built seed by seed, and, for the xi
+variant, an explicit loop over the discrete part."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casolag import (BilinearForm, FamilySpec, LaurentPoly, PoleError, Poly,
+from casolag import (BilinearForm, FamilySpec, LaurentPoly, Poly,
                      VariantError, gamma_ratio, parse_poly, poch)
 from casolag.special import to_binomial_basis
 
 
-def reference_inner(form, p, q):
+def reference_params(form):
+    """(d, sigma, l_cap): derivative order, weight shift and correction cap."""
+    m, max_g = form.spec.m, form.spec.max_g
+    if form.variant == "generic":
+        return 0, 1 - m, max_g
+    a = int(form.spec.alpha)
+    return max(0, m - a), max(0, a - m) + 1 - a, a - 1
+
+
+def reference_corrections(form):
+    """U_i = -(i-m+alpha+1)_d x^(i-m)
+             + sum_g kappa^g sum_{l <= min(g, l_cap)} (alpha-l)_l w_l^g x^(-l-1)."""
+    spec = form.spec
+    d, _, l_cap = reference_params(form)
+    out = []
+    for i in range(spec.m):
+        terms = [(i - spec.m, -poch(i - spec.m + spec.alpha + 1, d))]
+        for kap, g in zip(form.kappa.row(i), spec.G):
+            w = to_binomial_basis(spec.R[g])
+            for l in range(min(g, l_cap) + 1):
+                terms.append((-l - 1, kap * poch(spec.alpha - l, l) * w[l]))
+        out.append(LaurentPoly.from_terms(terms))
+    return out
+
+
+def reference_inner(form, p, q, corrections):
     spec = form.spec
     alpha, m = spec.alpha, spec.m
-    if form.variant == "generic":
-        d, shift = 0, 1 - m
-    else:
-        a = int(alpha)
-        d, shift = max(0, m - a), max(0, a - m) + 1 - a
+    d, shift, _ = reference_params(form)
     total = F(0)
     for t, c in enumerate((p * q.deriv(d)).coeffs):
         if c != 0:
@@ -28,10 +50,11 @@ def reference_inner(form, p, q):
         qi = q.coeff(i)
         if qi == 0:
             continue
-        prod = LaurentPoly.of_poly(p) * form.corrections()[i]
+        prod = LaurentPoly.of_poly(p) * corrections[i]
         for t, c in prod.terms():
             total += qi * c * gamma_ratio(alpha, t + 1)
         if form.variant == "xi":
+            a = int(alpha)
             for kap, g in zip(form.kappa.row(i), spec.G):
                 if g < a or kap == 0:
                     continue
@@ -45,37 +68,45 @@ def reference_inner(form, p, q):
 NONSEGMENT = {1: "x-1", 2: "x^2+1", 5: "x^5+x^4+x^3+1"}
 INTEGER_ALPHA = {1: "x+2", 2: "x^2", 4: "x^4+1"}
 SEGMENT = {2: "x^2+1", 3: "x^3+x"}
+# m = 4 seeds, so d = 2 at alpha = 2
+WIDE = {2: "x^2+1", 3: "x^3+x", 4: "x^4-x+3", 5: "x^5+2"}
 
 
 def spec(alpha, seeds):
     return FamilySpec(alpha, tuple(seeds), {g: parse_poly(r) for g, r in seeds.items()})
 
 
-# (variant, alpha, seeds): generic, segment, xi with m > alpha and xi with
-# alpha = maxG >= m
+# (variant, alpha, seeds): generic, segment, then xi at the boundaries of
+# d = max(0, m - alpha): d = 2, d = 0 at alpha = maxG > m, d = 1, d = 0 at
+# alpha = m, and d = 2 with m = 4
 FAMILIES = [
     ("generic", F(7), NONSEGMENT),
     ("generic", F(22, 7), SEGMENT),
     ("generic", F(-3, 2), NONSEGMENT),
     ("xi", F(1), INTEGER_ALPHA),
     ("xi", F(4), INTEGER_ALPHA),
+    ("xi", F(2), INTEGER_ALPHA),
+    ("xi", F(3), INTEGER_ALPHA),
+    ("xi", F(2), WIDE),
 ]
 
 coeff = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 poly_p = st.lists(coeff, min_size=0, max_size=8).map(Poly)
-# q up to degree 6: above and below m = 2, 3
+# q up to degree 6: above and below m = 2, 3, 4
 poly_q = st.lists(coeff, min_size=0, max_size=7).map(Poly)
 
 
 @pytest.mark.parametrize("variant,alpha,seeds", FAMILIES)
 def test_inner_matches_reference(variant, alpha, seeds):
-    # one form across all examples, so its memoised rows grow and get reused
+    # one form across all examples, so its memoised columns grow and get reused
     form = BilinearForm(spec(alpha, seeds), None, variant)
+    corrections = reference_corrections(form)
+    assert form.corrections() == corrections
 
     @settings(max_examples=60, deadline=None)
     @given(poly_p, poly_q)
     def check(p, q):
-        assert form.inner(p, q) == reference_inner(form, p, q)
+        assert form.inner(p, q) == reference_inner(form, p, q, corrections)
 
     check()
 
@@ -93,11 +124,3 @@ def test_inner_matches_reference(variant, alpha, seeds):
 def test_variant_error_outside_range(variant, alpha, seeds):
     with pytest.raises(VariantError):
         BilinearForm(spec(alpha, seeds), None, variant)
-
-
-def test_memoised_moment_keeps_pole_error():
-    form = BilinearForm.xi(spec(F(1), INTEGER_ALPHA))
-    for _ in range(2):  # a pole is never cached as a value
-        with pytest.raises(PoleError):
-            form._moment(-1)
-    assert form._moment(-1 + 1) == 1
