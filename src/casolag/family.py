@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .laguerre import laguerre
-from .linalg import det_rat, solve_linear, InconsistentSystem
+from .linalg import clear_denominators, det_int, solve_linear, InconsistentSystem
 from .parsing import parse_poly
 from .poly import Poly, as_rat, integer_roots, rat_str, render
 from .special import binom_poly, poch
@@ -137,17 +137,28 @@ def beta(spec: FamilySpec, n: int) -> BetaRow:
 
     beta_{n,j} = (-1)^j det of the matrix with column i=j deleted; the
     alternating sum sum_j beta_{n,j} R_g(n-j) vanishes for every g in G,
-    and beta_{n,0} = Omega(n), beta_{n,m} = (-1)^m Omega(n+1).
+    and beta_{n,0} = Omega(n), beta_{n,m} = (-1)^m Omega(n+1).  Each seed
+    is scaled to integer coefficients by the lcm of its denominators, so
+    the minors are integer determinants (det_int), divided once by the
+    product of those lcms.
     """
     if n < 0:
         raise ValueError("needs n >= 0")
     m = spec.m
-    cols = [[spec.R[g](n - i) for g in spec.G] for i in range(m + 1)]
-    values = []
-    for j in range(m + 1):
-        minor = [[cols[i][l] for i in range(m + 1) if i != j] for l in range(m)]
-        values.append((-1) ** j * det_rat(minor))
-    return BetaRow(n, tuple(values))
+    scale, vals = 1, []  # vals[l][i] = lcm_l * R_{g_l}(n-i)
+    for g in spec.G:
+        lcm, ints = clear_denominators(spec.R[g].coeffs)
+        row = []
+        for i in range(m + 1):
+            v = 0
+            for c in reversed(ints):
+                v = v * (n - i) + c
+            row.append(v)
+        vals.append(row)
+        scale *= lcm
+    return BetaRow(n, tuple(
+        Fraction((-1) ** j * det_int([row[:j] + row[j + 1:] for row in vals]), scale)
+        for j in range(m + 1)))
 
 
 def q_beta(spec: FamilySpec, n: int) -> Tuple[Fraction, ...]:

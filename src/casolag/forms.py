@@ -89,29 +89,34 @@ def kappa_matrix(spec: FamilySpec) -> KappaMatrix:
     return KappaMatrix(tuple(tuple(kappa_solve(spec, i)) for i in range(spec.m)))
 
 
-def _seed_w(spec: FamilySpec, g: int) -> List[Fraction]:
-    return to_binomial_basis(spec.R[g])
+def _seed_ws(spec: FamilySpec) -> List[List[Fraction]]:
+    """w^g, the binomial-basis coefficients of each seed R_g, in G order."""
+    return [to_binomial_basis(spec.R[g]) for g in spec.G]
 
 
-def _seed_weights(spec: FamilySpec, kappa_row: Sequence) -> List[Fraction]:
-    """W[l] = sum_{g >= l} kappa^g w_l^g for l = 0..maxG."""
+def _seed_weights(spec: FamilySpec, ws: Sequence[Sequence[Fraction]],
+                  kappa_row: Sequence) -> List[Fraction]:
+    """W[l] = sum_{g >= l} kappa^g w_l^g for l = 0..maxG, with ws = _seed_ws(spec)."""
     W = [Fraction(0)] * (spec.max_g + 1)
-    for kap, g in zip(kappa_row, spec.G):
+    for kap, w in zip(kappa_row, ws):
         kap = as_rat(kap)
         if kap != 0:
-            for l, wl in enumerate(_seed_w(spec, g)):
+            for l, wl in enumerate(w):
                 W[l] += kap * wl
     return W
 
 
-def _correction(spec: FamilySpec, kappa_row: Sequence, i: int, d: int,
+def _correction(spec: FamilySpec, W: Sequence[Fraction], i: int, d: int,
                 l_lo: int = 0) -> LaurentPoly:
     """-(i-m+alpha+1)_d x^(i-m) + sum_{l=l_lo}^{maxG} (alpha-l)_l W[l] x^(-l-1),
-    with W the row's seed weights."""
-    W = _seed_weights(spec, kappa_row)
+    with W a row's seed weights."""
     return LaurentPoly.from_terms(
         [(i - spec.m, -poch(i - spec.m + spec.alpha + 1, d))]
         + [(-l - 1, poch(spec.alpha - l, l) * W[l]) for l in range(l_lo, spec.max_g + 1)])
+
+
+def _row_weights(spec: FamilySpec, kappa_row: Sequence) -> List[Fraction]:
+    return _seed_weights(spec, _seed_ws(spec), kappa_row)
 
 
 def u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
@@ -119,7 +124,7 @@ def u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
 
         U_i = -x^(i-m) + sum_g kappa^g sum_{l=0}^g (alpha-l)_l w_l^g x^(-l-1).
     """
-    return _correction(spec, kappa_row, i, 0)
+    return _correction(spec, _row_weights(spec, kappa_row), i, 0)
 
 
 def u_function_alt(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
@@ -128,7 +133,7 @@ def u_function_alt(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly
 
         U_i = -x^(i-m) + sum_{l=m-i-1}^{maxG} (alpha-l)_l W[l] x^(-l-1).
     """
-    return _correction(spec, kappa_row, i, 0, max(spec.m - i - 1, 0))
+    return _correction(spec, _row_weights(spec, kappa_row), i, 0, max(spec.m - i - 1, 0))
 
 
 def xi_u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
@@ -137,7 +142,8 @@ def xi_u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
     exactly for the rows where that power would reach a Gamma pole.  The
     terms with l >= alpha drop out, since (alpha-l)_l = 0 there; they move
     to the discrete part."""
-    return _correction(spec, kappa_row, i, max(0, spec.m - _xi_alpha(spec)))
+    return _correction(spec, _row_weights(spec, kappa_row), i,
+                       max(0, spec.m - _xi_alpha(spec)))
 
 
 def _xi_alpha(spec: FamilySpec) -> int:
@@ -183,7 +189,8 @@ class BilinearForm:
         self.variant = variant
         self._corrections = None
         self._moments = [Fraction(1)]  # (alpha)_s for s = 0, 1, ...
-        self._weights = [_seed_weights(spec, self.kappa.row(b)) for b in range(spec.m)]
+        ws = _seed_ws(spec)
+        self._weights = [_seed_weights(spec, ws, self.kappa.row(b)) for b in range(spec.m)]
         self._columns: List[List[Fraction]] = [[] for _ in range(spec.m)]
 
     @classmethod
@@ -197,7 +204,7 @@ class BilinearForm:
     def corrections(self) -> List[LaurentPoly]:
         """The U_i: u_function for the generic variant, xi_u_function for xi."""
         if self._corrections is None:
-            self._corrections = [_correction(self.spec, self.kappa.row(i), i, self._d)
+            self._corrections = [_correction(self.spec, self._weights[i], i, self._d)
                                  for i in range(self.spec.m)]
         return self._corrections
 
@@ -248,7 +255,7 @@ def closed_form_moment(spec: FamilySpec, kappa_row: Sequence, k: int, u: int) ->
         kap = as_rat(kap)
         if kap == 0:
             continue
-        w = _seed_w(spec, g)
+        w = to_binomial_basis(spec.R[g])
         for l in range(k, g + 1):
             total += kap * poch(alpha - l, k) * w[l] * binom_rat(u + l - k, l - k)
     return total

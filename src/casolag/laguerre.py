@@ -13,17 +13,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import Poly, as_rat
-from .special import poch
 
 
 @lru_cache(maxsize=None)
 def _laguerre_cached(n: int, alpha: Fraction) -> Poly:
-    coeffs = []
-    for j in range(n + 1):
-        # binom(n+alpha, n-j) = poch(alpha+j+1, n-j)/(n-j)!
-        b = poch(alpha + j + 1, n - j) / math.factorial(n - j)
-        coeffs.append((-1) ** j * b / math.factorial(j))
-    return Poly(coeffs)
+    # top down from c_n = (-1)^n/n!, by the ratio of consecutive terms:
+    # c_j = -c_{j+1} (j+1)(alpha+j+1)/(n-j), which never divides by alpha+j+1
+    coeffs = [Fraction((-1) ** n, math.factorial(n))]
+    for j in range(n - 1, -1, -1):
+        coeffs.append(-coeffs[-1] * (j + 1) * (alpha + j + 1) / (n - j))
+    return Poly(coeffs[::-1])
 
 
 def laguerre(n: int, alpha) -> Poly:

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Fraction: Gauss-Jordan, nullspaces, determinants.
+"""Exact linear algebra over Fraction: Gauss-Jordan, nullspaces, determinants
+(fraction-free, on integers).
 
 Everything here is deterministic.  Pivoting always takes the first row with a
 nonzero entry in the current column (no magnitude heuristics: over Fraction
@@ -10,9 +11,10 @@ across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .poly import as_rat
 
@@ -113,29 +115,46 @@ def solve_linear(A: Sequence[Sequence], b: Optional[Sequence] = None) -> LinearS
                           pivot_columns=list(pivots))
 
 
-def det_rat(M: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square Fraction matrix by fraction-free-ish elimination."""
+def det_int(M: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every intermediate entry is a minor of M, so each division
+    by the previous pivot is exact and the numbers never outgrow the
+    minors."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant needs a square matrix")
-    rows = [[as_rat(v) for v in row] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+    rows = [list(row) for row in M]
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != c:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
+            sign = -sign
+        top, piv = rows[c], rows[c][c]
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+            row, f = rows[i], rows[i][c]
+            rows[i] = [0] * (c + 1) + [(piv * row[j] - f * top[j]) // prev
+                                       for j in range(c + 1, n)]
+        prev = piv
+    return sign * rows[-1][-1] if n else 1
 
+
+def clear_denominators(values: Sequence) -> Tuple[int, List[int]]:
+    """(L, [L*v for v in values]) with L the lcm of the denominators."""
+    values = [as_rat(v) for v in values]
+    lcm = math.lcm(*(v.denominator for v in values))
+    return lcm, [v.numerator * (lcm // v.denominator) for v in values]
+
+
+def det_rat(M: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square rational matrix: each row is scaled to
+    integers by the lcm of its denominators, det_int eliminates, and the
+    product of those lcms divides once at the end."""
+    ints, scale = [], 1
+    for row in M:
+        lcm, row = clear_denominators(row)
+        ints.append(row)
+        scale *= lcm
+    return Fraction(det_int(ints), scale)

@@ -2,24 +2,33 @@
 
 Multiplying a family member by a polynomial Q and re-expanding in the family
 gives Q(x) q_n = sum_j gamma_{n,j} q_{n+j} with exact rational gamma_{n,j}.
-One engine computes every expansion in the Laguerre basis L_t = L_t^alpha
-from two steps: the x-step, x acting by the three-term rule x L_t = -(t+1)
-L_{t+1} + (2t+alpha+1) L_t - (t+alpha) L_{t-1}, and the back-substitution,
-top down through the beta rows of q_k = sum_{j<=min(m,k)} beta_{k,j}
-L_{k-j}: c_k = w_k / beta_{k,0}, then w_{k-j} -= c_k beta_{k,j}.  A table
-of one Q applies Q by Horner (x-steps) and back-substitutes once per row.
+One engine computes every expansion in the Laguerre basis L_t = L_t^alpha,
+on windows (lo, w) = sum_i w_i L_{lo+i}: q_n is supported on [n-m, n], so
+x^k q_n is supported on [n-m-k, n+k] whatever n is.  Two steps act on
+windows.  The x-step applies the three-term rule x L_t = -(t+1) L_{t+1} +
+(2t+alpha+1) L_t - (t+alpha) L_{t-1} and widens the window by one at each
+end (only at the top once it reaches L_0).  The back-substitution peels q_k off top down through the beta rows
+of q_k = sum_{j<=min(m,k)} beta_{k,j} L_{k-j}: c_k = w_k / beta_{k,0}, then
+w_{k-j} -= c_k beta_{k,j}, for every k down to a stopping index; it
+returns the c_k and the residual window left below that index.  A table of
+one Q applies Q by Horner on windows and back-substitutes each row to
+index 0, ending early once nothing nonzero is left below.
+
 A subset of polynomials Q produce BANDED tables (gamma_{n,j} = 0 below a
 fixed shift -s with nonzero extremes); those Q form an algebra, probed here
-by exact nullspace computation: the map Q -> gamma_{n,j}(Q) is linear, so
-"no coefficients below the band through row N" is a finite linear system
-in the coefficients of Q.  The probe builds the tables of x^0..x^d in one
-pass over one beta ladder: one x-step per power and row, each power
-back-substituted.
+by exact nullspace computation.  Row n has no coefficient below -B iff the
+residual of Q q_n below n - B, sum_{t<n-B} gamma_{n,t-n} q_t, is zero: the
+q_t are triangular in the Laguerre basis with nonzero diagonal Omega(t).
+The residual is linear in Q and lives on at most m + max(0, d-B) indices,
+so "no coefficients below the band through row N" is a small linear system
+in the coefficients of Q.  The probe builds the residuals of x^0..x^d in
+one pass over one beta ladder: one x-step per power and row, each
+back-substituted from n + k down to n - B only.
 
 Membership certified by the probe is always relative to the explored range
 (rows up to N, band B).  The re-verification helper guards against
-truncation artifacts: it extends the probe's own monomial rows to a longer
-range and checks each basis element there by linearity.
+truncation artifacts: it extends the probe's own monomial residuals to a
+longer range and checks each basis element there by linearity.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from .family import FamilySpec, q_beta
 from .linalg import solve_linear
 from .poly import Poly, rat_str
 
+Window = Tuple[int, List[Fraction]]  # (lo, w): sum_i w_i L_{lo+i}
+
 
 @dataclass
 class RecurrenceTable:
@@ -44,43 +55,63 @@ class RecurrenceTable:
         return self.rows[n].get(j, Fraction(0))
 
 
-def _x_step(alpha: Fraction, w: Sequence[Fraction]) -> List[Fraction]:
-    """Laguerre coefficients of x * sum_t w_t L_t (one entry longer than w)."""
-    xw = [Fraction(0)] * (len(w) + 1)
-    for t, wt in enumerate(w):
+def _x_step(alpha: Fraction, lo: int, w: Sequence[Fraction]) -> Window:
+    """The window of x * sum_i w_i L_{lo+i}: one entry wider at each end, or
+    only at the top when lo = 0."""
+    out_lo = lo - 1 if lo else 0
+    xw = [Fraction(0)] * (lo + len(w) + 1 - out_lo)
+    for t, wt in enumerate(w, lo):
         if wt:
-            xw[t + 1] -= (t + 1) * wt
-            xw[t] += (2 * t + 1 + alpha) * wt
+            i = t - out_lo
+            xw[i + 1] -= (t + 1) * wt
+            xw[i] += (2 * t + 1 + alpha) * wt
             if t:
-                xw[t - 1] -= (t + alpha) * wt
-    return xw
+                xw[i - 1] -= (t + alpha) * wt
+    return out_lo, xw
 
 
-def _back_substitute(w: Sequence[Fraction],
-                     betas: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """c with sum_t w_t L_t = sum_k c_k q_k, where betas[k] = q_beta(spec, k)
-    for k < len(w); w itself is left as it is."""
-    w = list(w)
-    c = [Fraction(0)] * len(w)
-    for k in range(len(w) - 1, -1, -1):
-        if w[k]:
-            ck = c[k] = w[k] / betas[k][0]
-            for j in range(1, len(betas[k])):
-                w[k - j] -= ck * betas[k][j]
-    return c
+def _back_substitute(lo: int, w: Sequence[Fraction],
+                     betas: Sequence[Sequence[Fraction]],
+                     stop: int = 0) -> Tuple[Window, Window]:
+    """Peel the q_k off sum_i w_i L_{lo+i}, top down, for every k >= stop.
+
+    Returns the windows (c, r) with sum_i w_i L_{lo+i} = sum_k c_k q_k +
+    sum_t r_t L_t, r supported below stop.  A step at k writes only to
+    k-1..k-m, so the loop also ends as soon as no index below k can be
+    nonzero; c covers exactly the indices processed, each of which needs
+    betas[k] = q_beta(spec, k).  w itself is left as it is.
+    """
+    hi = lo + len(w)
+    rest = list(reversed(w))  # rest[i] is the entry of L_{hi-1-i}; grows downward
+    c = []
+    i = 0
+    while i < len(rest) and hi - 1 - i >= stop:
+        ck = rest[i]
+        if ck:
+            row = betas[hi - 1 - i]
+            ck /= row[0]
+            for j in range(1, len(row)):
+                if i + j < len(rest):
+                    rest[i + j] -= ck * row[j]
+                else:
+                    rest.append(-ck * row[j])
+        c.append(ck)
+        i += 1
+    return (hi - i, c[::-1]), (hi - len(rest), rest[i:][::-1])
 
 
-def _expand(alpha: Fraction, Q: Poly, v: Sequence[Fraction],
-            betas: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """c with Q * sum_t v_t L_t = sum_k c_k q_k, where betas[k] = q_beta(spec, k)
-    for k up to len(v) - 1 + deg Q."""
-    w = [Fraction(0)] * (len(v) - 1)
-    for a in reversed(Q.coeffs):  # Horner: w <- x w + a v
-        w = _x_step(alpha, w)
+def _expand(alpha: Fraction, Q: Poly, lo: int, v: Sequence[Fraction],
+            betas: Sequence[Sequence[Fraction]], stop: int = 0) -> Tuple[Window, Window]:
+    """_back_substitute of Q * sum_i v_i L_{lo+i}, built by Horner's rule on
+    windows (w <- x w + a v, from the top coefficient of Q down)."""
+    *low, top = Q.coeffs
+    wlo, w = lo, [top * vt for vt in v]
+    for a in reversed(low):
+        wlo, w = _x_step(alpha, wlo, w)
         if a:
-            for t, vt in enumerate(v):
-                w[t] += a * vt
-    return _back_substitute(w, betas)
+            for i, vt in enumerate(v, lo - wlo):
+                w[i] += a * vt
+    return _back_substitute(wlo, w, betas, stop)
 
 
 def _extend_ladder(spec: FamilySpec, betas: List[Tuple[Fraction, ...]],
@@ -91,13 +122,14 @@ def _extend_ladder(spec: FamilySpec, betas: List[Tuple[Fraction, ...]],
     return betas
 
 
-def _q_vector(betas: Sequence[Sequence[Fraction]], n: int) -> List[Fraction]:
-    """q_n's Laguerre coefficients: beta_{n,j} on L_{n-j}."""
-    return [Fraction(0)] * (n + 1 - len(betas[n])) + list(reversed(betas[n]))
+def _q_window(betas: Sequence[Sequence[Fraction]], n: int) -> Window:
+    """q_n's Laguerre window: beta_{n,j} on L_{n-j}."""
+    return n + 1 - len(betas[n]), list(reversed(betas[n]))
 
 
-def _gamma_row(n: int, c: Sequence[Fraction]) -> Dict[int, Fraction]:
-    return {k - n: g for k, g in enumerate(c) if g != 0}
+def _gamma_row(n: int, c: Window) -> Dict[int, Fraction]:
+    lo, entries = c
+    return {k - n: g for k, g in enumerate(entries, lo) if g != 0}
 
 
 def expand_in_q(spec: FamilySpec, p: Poly) -> List[Fraction]:
@@ -105,7 +137,8 @@ def expand_in_q(spec: FamilySpec, p: Poly) -> List[Fraction]:
     if p.is_zero():
         return []
     betas = _extend_ladder(spec, [], p.degree)
-    return _expand(spec.alpha, p, [Fraction(1)], betas)
+    (lo, c), _ = _expand(spec.alpha, p, 0, [Fraction(1)], betas)
+    return [Fraction(0)] * lo + c
 
 
 def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
@@ -118,28 +151,28 @@ def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
     if isinstance(n_range, int):
         n_range = range(0, n_range + 1)
     betas = _extend_ladder(spec, [], max(n_range) + Q.degree)
-    rows = {n: _gamma_row(n, _expand(spec.alpha, Q, _q_vector(betas, n), betas))
+    rows = {n: _gamma_row(n, _expand(spec.alpha, Q, *_q_window(betas, n), betas)[0])
             for n in n_range}
     return RecurrenceTable(Q=Q, n_range=n_range, rows=rows)
 
 
-def _monomial_tables(spec: FamilySpec, betas: List[Tuple[Fraction, ...]],
-                     n_range: range) -> Iterator[RecurrenceTable]:
-    """Yield the tables of x^0, x^1, x^2, ... on the rows n_range.
+def _monomial_residuals(spec: FamilySpec, betas: List[Tuple[Fraction, ...]],
+                        n_range: range, band: int) -> Iterator[Dict[int, Window]]:
+    """Yield, for k = 0, 1, 2, ..., the residual windows below n - band of
+    x^k q_n, keyed by the n in n_range with n > band (no lower row exists).
 
-    Each power takes one x-step of the previous power's Laguerre vectors and
-    one back-substitution per row.  The ladder betas is extended in place,
-    to n_range.stop - 1 + k just before the table of x^k is built.
+    Each power takes one x-step of the previous power's windows and one
+    back-substitution per row, stopped at n - band.  The ladder betas is
+    extended in place, to n_range.stop - 1 + k just before power k.
     """
     top = n_range.stop - 1
     _extend_ladder(spec, betas, top)
-    ws = {n: _q_vector(betas, n) for n in n_range}
+    ws = {n: _q_window(betas, n) for n in n_range if n > band}
     for k in count():
         if k:
-            ws = {n: _x_step(spec.alpha, w) for n, w in ws.items()}
+            ws = {n: _x_step(spec.alpha, *w) for n, w in ws.items()}
             _extend_ladder(spec, betas, top + k)
-        rows = {n: _gamma_row(n, _back_substitute(w, betas)) for n, w in ws.items()}
-        yield RecurrenceTable(Q=Poly.monomial(k), n_range=n_range, rows=rows)
+        yield {n: _back_substitute(*w, betas, n - band)[1] for n, w in ws.items()}
 
 
 def _first_outside(table: RecurrenceTable, lo: int,
@@ -254,10 +287,11 @@ class AlgebraProbeResult:
     band: int
     n_max: int
     basis: List[Poly]
-    # the beta ladder q_beta(spec, k) for k <= n_max + degree_cap, and the
-    # tables of x^0..x^degree_cap on rows 0..n_max built from it
+    # the beta ladder q_beta(spec, k) for k <= n_max + degree_cap, and
+    # residuals[k][n] for k <= degree_cap and band < n <= n_max: the
+    # Laguerre window of x^k q_n left below n - band by the back-substitution
     betas: List[Tuple[Fraction, ...]] = field(repr=False)
-    tables: List[RecurrenceTable] = field(repr=False)
+    residuals: List[Dict[int, Window]] = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -269,51 +303,63 @@ def algebra_probe(spec: FamilySpec, d: int, band: Optional[int] = None,
     """Canonical basis of {Q : deg Q <= d, gamma_{n,j}(Q) = 0 for j < -band,
     all n <= n_max}.
 
-    gamma is linear in Q, so the constraints form an exact homogeneous
-    system in the d+1 coefficients of Q, read off the tables of x^0..x^d
-    (built in one pass over one beta ladder); the reduced-echelon nullspace
-    basis (pivots in ascending degree, constant polynomial first) is
-    returned.  Defaults: band = d, n_max = 2d + maxG + 10.
+    Row n's coefficients below the band vanish iff the residual of Q q_n
+    below n - band, sum_{t < n-band} gamma_{n,t-n} q_t in the Laguerre
+    basis, is zero: the q_t are triangular with nonzero leading Laguerre
+    coefficients Omega(t).  The residual is linear in Q, so its entries,
+    read off the residuals of x^0..x^d (built in one pass over one beta
+    ladder), span the same functionals as those gamma_{n,j}, in at most
+    m + max(0, d - band) rows per n; the reduced-echelon nullspace basis
+    (pivots in ascending degree, constant polynomial first) is returned.
+    Defaults: band = d, n_max = 2d + maxG + 10.
     """
     if d < 0:
         raise ValueError("degree cap must be >= 0")
     B = d if band is None else band
     N = (2 * d + spec.max_g + 10) if n_max is None else n_max
     betas: List[Tuple[Fraction, ...]] = []
-    tables = list(islice(_monomial_tables(spec, betas, range(N + 1)), d + 1))
-    rows = [[t.gamma(n, j) for t in tables]
-            for n in range(N + 1) for j in range(-n, -B)]
+    residuals = list(islice(_monomial_residuals(spec, betas, range(N + 1), B), d + 1))
+    rows = []
+    for n in residuals[0]:
+        windows = [res[n] for res in residuals]
+        for t in range(min(lo for lo, _ in windows), n - B):
+            rows.append([r[t - lo] if t >= lo else Fraction(0) for lo, r in windows])
     if not rows:
         basis = [Poly.monomial(k) for k in range(d + 1)]
     else:
         sol = solve_linear(rows, None)
         basis = [Poly(vec) for vec in sol.nullspace]
     return AlgebraProbeResult(degree_cap=d, band=B, n_max=N, basis=basis,
-                              betas=betas, tables=tables)
+                              betas=betas, residuals=residuals)
 
 
 def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10) -> bool:
     """Re-check every probe basis element on rows 0..n_max + extra: no
     coefficient below -band may appear.
 
-    The probe's own monomial tables (rows 0..n_max) are extended by rows
-    n_max+1..n_max+extra over the probe's beta ladder, and each basis
-    element Q is checked on every row by linearity, gamma_{n,j}(Q) =
-    sum_k Q_k gamma_{n,j}(x^k) over Q's nonzero coefficients.  Powers are
+    The probe's own monomial residuals (rows up to n_max) are extended by
+    rows n_max+1..n_max+extra over the probe's beta ladder, and each basis
+    element Q is checked on every row by linearity: its residual below
+    n - band, sum_k Q_k (residual of x^k q_n), must be zero.  Powers are
     added only up to the degree of the element being checked, so the
     ladder reaches n_max + extra + deg Q and no further.
     """
     N = result.n_max + extra
-    more = _monomial_tables(spec, list(result.betas), range(result.n_max + 1, N + 1))
-    rows: List[Dict[int, Dict[int, Fraction]]] = []  # rows[k][n] = gamma_{n,.}(x^k)
+    more = _monomial_residuals(spec, list(result.betas), range(result.n_max + 1, N + 1),
+                               result.band)
+    residuals: List[Dict[int, Window]] = []  # residuals[k][n] of x^k q_n
     for Q in result.basis:
-        while len(rows) <= Q.degree:
-            rows.append({**result.tables[len(rows)].rows, **next(more).rows})
+        while len(residuals) <= Q.degree:
+            residuals.append({**result.residuals[len(residuals)], **next(more)})
         terms = [(k, a) for k, a in enumerate(Q.coeffs) if a]
-        for n in range(N + 1):
-            for j in range(-n, -result.band):
-                if sum(a * rows[k][n].get(j, 0) for k, a in terms) != 0:
-                    return False
+        for n in residuals[0]:
+            below: Dict[int, Fraction] = {}
+            for k, a in terms:
+                lo, r = residuals[k][n]
+                for t, v in enumerate(r, lo):
+                    below[t] = below.get(t, 0) + a * v
+            if any(below.values()):
+                return False
     return True
 
 

@@ -8,7 +8,8 @@ checks the β-row back-substitution and the three-term x action.
 
 `reference_reverify` is the re-verification the probe used to run: a fresh
 table of each basis element on the longer range.  reverify_probe instead
-extends the probe's own monomial tables and checks the basis by linearity.
+extends the probe's own monomial residuals below the band and checks the
+basis on them by linearity.
 """
 
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from casolag import (FamilySpec, Poly, algebra_probe, degenerate_preset,
                      expand_in_q, krall_preset, parse_poly, q_poly,
                      recurrence_table, reverify_probe, solve_linear)
-from casolag.recurrence import _first_outside
+from casolag.recurrence import _back_substitute, _first_outside
 
 # the five golden families (tests/test_golden.py)
 FAMILIES = {
@@ -125,8 +126,17 @@ def test_reverify_matches_reference(name, d, data):
     n_max = data.draw(st.one_of(st.none(), st.integers(0, 12)), label="n_max")
     extra = data.draw(st.integers(0, 10), label="extra")
     res = algebra_probe(spec, d, band=band, n_max=n_max)
-    for k, table in enumerate(res.tables):
-        assert table.rows == recurrence_table(spec, Poly.monomial(k), res.n_max).rows
+    # each stored residual, back-substituted to index 0, is that row's part
+    # of the monomial's table below -band
+    for k in range(d + 1):
+        table = recurrence_table(spec, Poly.monomial(k), res.n_max)
+        for n, row in table.rows.items():
+            below = {j: g for j, g in row.items() if j < -res.band}
+            if n not in res.residuals[k]:
+                assert below == {}
+                continue
+            (lo, c), _ = _back_substitute(*res.residuals[k][n], res.betas)
+            assert {t - n: g for t, g in enumerate(c, lo) if g != 0} == below
     assert reverify_probe(spec, res, extra) == reference_reverify(spec, res, extra)
 
 

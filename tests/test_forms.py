@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import casolag.forms
 from casolag import (BilinearForm, FamilySpec, Poly, VariantError,
                      closed_form_moment, kappa_matrix, kappa_solve, laguerre,
                      ortho_check, parse_poly, q_poly, u_function,
@@ -153,3 +154,21 @@ def test_generic_inner_never_hits_pole(segment_spec):
     form = BilinearForm.generic(segment_spec)
     report = ortho_check(segment_spec, form, 7)
     assert report.passed
+
+
+@pytest.mark.parametrize("variant", ["generic", "xi"])
+def test_form_expands_each_seed_once(variant, nonsegment_spec, integer_alpha_spec,
+                                     monkeypatch):
+    spec = nonsegment_spec if variant == "generic" else integer_alpha_spec
+    calls = 0
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return to_binomial_basis(p)
+
+    monkeypatch.setattr(casolag.forms, "to_binomial_basis", counted)
+    form = BilinearForm(spec, None, variant)
+    form.corrections()
+    form.inner(q_poly(spec, 6), q_poly(spec, 4))
+    assert calls <= len(spec.G)

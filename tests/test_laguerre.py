@@ -29,6 +29,18 @@ def test_laguerre_lead_and_degree():
             assert p.lead == F((-1) ** n, math.factorial(n))
 
 
+def test_laguerre_matches_closed_form():
+    # sum_j (-x)^j/j! binom(n+alpha, n-j), with the binomial as a
+    # Pochhammer quotient: it vanishes, without a division, where the
+    # term-ratio build would see alpha+j+1 = 0 at negative integer alpha
+    for alpha in (F(7), F(22, 7), F(-3, 2), F(-3), F(-1), F(0), F(1), F(-10)):
+        for n in range(41):
+            closed = Poly([(-1) ** j * poch(alpha + j + 1, n - j)
+                           / (math.factorial(n - j) * math.factorial(j))
+                           for j in range(n + 1)])
+            assert laguerre(n, alpha) == closed
+
+
 def test_laguerre_ode():
     # x y'' + (alpha + 1 - x) y' + n y = 0
     for alpha in (F(7), F(22, 7)):

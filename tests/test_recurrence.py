@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+import casolag.recurrence
 from hypothesis import given, settings, strategies as st
 
 from casolag import (DegenerateFamily, FamilySpec, Poly, algebra_probe,
@@ -75,6 +76,33 @@ def test_reverify_ladder_stops_at_basis_degree(tmp_path, capsys):
     code = main(["probe", "--config", str(path), "--deg", "2", "--nmax", "18"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["reverified"] is True
+
+
+def test_probe_sends_only_the_window_below_the_band(nonsegment_spec, monkeypatch):
+    """At d = 8 (the benchmark's generic family and job size) each row n
+    adds at most m + max(0, d - B) constraint rows, and no back-substitution
+    processes more than the d + B + 1 indices from n + d down to n - B."""
+    spec, d = nonsegment_spec, 8
+    B, N = d, 2 * d + spec.max_g + 10
+    sent, widest = [], 0
+    solve, back = casolag.recurrence.solve_linear, casolag.recurrence._back_substitute
+
+    def counted_solve(rows, b):
+        sent.append(len(rows))
+        return solve(rows, b)
+
+    def counted_back(*args):
+        nonlocal widest
+        out = back(*args)
+        widest = max(widest, len(out[0][1]))
+        return out
+
+    monkeypatch.setattr(casolag.recurrence, "solve_linear", counted_solve)
+    monkeypatch.setattr(casolag.recurrence, "_back_substitute", counted_back)
+    res = algebra_probe(spec, d)
+    assert res.n_max == N and res.dimension == 6
+    assert len(sent) == 1 and sent[0] <= (N + 1) * (spec.m + max(0, d - B))
+    assert 0 < widest <= d + B + 1
 
 
 def test_identity_operator(nonsegment_spec):
