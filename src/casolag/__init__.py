@@ -12,7 +12,7 @@ from .family import (AdmissibilityCertificate, BetaRow, DegenerateFamily,
                      spec_from_json_dict, spec_to_json)
 from .forms import (BilinearForm, KappaMatrix, OrthoReport, VariantError,
                     closed_form_moment, kappa_matrix, kappa_solve, ortho_check,
-                    u_function, u_function_alt, xi_u_function)
+                    u_function, u_function_alt)
 from .laguerre import laguerre
 from .linalg import InconsistentSystem, LinearSolution, solve_linear
 from .parsing import ParseError, parse_poly
@@ -22,9 +22,8 @@ from .recurrence import (AlgebraProbeResult, ObstructionResult,
                          algebra_probe, expand_in_q, obstruction_test,
                          recurrence_table, reverify_probe, rho_bound,
                          rho_recurrence, three_term_test, verify_band)
-from .special import (PoleError, binom_rat, casoratian,
-                      combinatorial_identity_check, from_binomial_basis,
-                      gamma_ratio, poch, to_binomial_basis)
+from .special import (binom_rat, casoratian, combinatorial_identity_check,
+                      from_binomial_basis, poch, to_binomial_basis)
 
 __version__ = "0.1.0"
 
@@ -33,16 +32,16 @@ __all__ = [
     "BilinearForm", "DegenerateFamily", "FamilySpec", "InconsistentSystem",
     "InvalidPreset", "KappaMatrix", "LaurentPoly",
     "LinearSolution", "ObstructionResult", "OrthoReport", "ParseError",
-    "Poly", "PoleError", "Rat", "RecurrenceTable", "RhoRecurrenceResult",
+    "Poly", "Rat", "RecurrenceTable", "RhoRecurrenceResult",
     "ThreeTermResult", "VariantError", "algebra_probe", "as_rat", "beta",
     "binom_rat", "casoratian", "certify_admissible", "closed_form_moment",
     "combinatorial_identity_check",
-    "degenerate_preset", "expand_in_q", "from_binomial_basis", "gamma_ratio",
+    "degenerate_preset", "expand_in_q", "from_binomial_basis",
     "integer_roots", "kappa_matrix", "kappa_solve", "krall_preset", "laguerre",
     "match_krall_parameters", "obstruction_test", "omega",
     "ortho_check", "parse_poly", "poch", "q_poly", "rat_str",
     "recurrence_table", "reduce_representation", "render", "reverify_probe",
     "rho_bound", "rho_recurrence", "solve_linear", "spec_from_json",
     "spec_from_json_dict", "spec_to_json", "three_term_test", "u_function",
-    "u_function_alt", "verify_band", "xi_u_function",
+    "u_function_alt", "verify_band",
 ]

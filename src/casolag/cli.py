@@ -6,6 +6,10 @@ Reports are byte-deterministic for a fixed config: keys are sorted, rationals
 are serialized as canonical "p/q" strings, and nothing depends on hashing or
 wall-clock state.
 
+Each subcommand takes --config, --format, --out and only the flags it reads,
+declared once in _SUBCOMMANDS with their defaults; any other flag is a usage
+error, as are a negative size and a missing --Q or --deg.
+
 Exit codes: 0 when the mathematical verdict passes, 2 when it fails, 1 for
 usage or config errors (reported as structured JSON on stderr).
 """
@@ -30,18 +34,6 @@ from .recurrence import (algebra_probe, recurrence_table, reverify_probe,
 
 USAGE_ERROR = 1
 VERDICT_FAIL = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    family: FamilySpec
-    nmax: Optional[int]
-    Q: Optional[Poly]
-    deg: Optional[int]
-    band: Optional[int]
-    fmt: str
-    out: Optional[str]
 
 
 class CliError(Exception):
@@ -118,18 +110,18 @@ def _to_latex(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: RunConfig, payload: dict, table: Table,
+def _emit(args: argparse.Namespace, payload: dict, table: Table,
           latex: Optional[Table] = None) -> None:
     """Write payload as JSON, or table as CSV or LaTeX; latex, when given,
     is the table the LaTeX document shows instead."""
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = _to_csv(table)
     else:
         text = _to_latex(table if latex is None else latex)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -139,31 +131,30 @@ def _latex_frac(v: Fraction) -> str:
     return f"${v}$" if v.denominator == 1 else rf"$\frac{{{v.numerator}}}{{{v.denominator}}}$"
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    cert: AdmissibilityCertificate = certify_admissible(cfg.family)
+def cmd_check(args: argparse.Namespace) -> int:
+    cert: AdmissibilityCertificate = certify_admissible(args.family)
     table = Table(("omega", "admissible", "scan_bound", "fail_n"),
                   [(cert.omega, cert.passed, cert.integer_scan_bound, cert.fail_n)])
     latex = Table(("quantity", "value"),
                   [("determinant", cert.omega), ("admissible", cert.passed),
                    ("scan bound", cert.integer_scan_bound)],
                   title="Admissibility")
-    payload = {"command": "check", "family": cfg.family.to_json_dict(),
+    payload = {"command": "check", "family": args.family.to_json_dict(),
                **table.json_rows()[0]}
-    _emit(cfg, payload, table, latex)
+    _emit(args, payload, table, latex)
     return 0 if cert.passed else VERDICT_FAIL
 
 
-def cmd_qpoly(cfg: RunConfig) -> int:
-    nmax = cfg.nmax if cfg.nmax is not None else 8
-    table = Table(("n", "q"), [(n, q_poly(cfg.family, n)) for n in range(nmax + 1)],
+def cmd_qpoly(args: argparse.Namespace) -> int:
+    table = Table(("n", "q"), [(n, q_poly(args.family, n)) for n in range(args.nmax + 1)],
                   title="Family members", colspec="rl", heads=(r"$n$", r"$q_n$"))
     payload = {
         "command": "qpoly",
-        "family": cfg.family.to_json_dict(),
-        "nmax": nmax,
+        "family": args.family.to_json_dict(),
+        "nmax": args.nmax,
         "polys": table.json_rows(),
     }
-    _emit(cfg, payload, table)
+    _emit(args, payload, table)
     return 0
 
 
@@ -176,75 +167,68 @@ def _pick_variant(spec: FamilySpec) -> str:
     return "generic"
 
 
-def cmd_ortho(cfg: RunConfig) -> int:
-    nmax = cfg.nmax if cfg.nmax is not None else 10
-    variant = _pick_variant(cfg.family)
-    form = BilinearForm(cfg.family, None, variant)
-    report = ortho_check(cfg.family, form, nmax)
+def cmd_ortho(args: argparse.Namespace) -> int:
+    variant = _pick_variant(args.family)
+    form = BilinearForm(args.family, None, variant)
+    report = ortho_check(args.family, form, args.nmax)
     table = Table(("n", "i", "value"), report.entries, title="Pairings",
                   colspec="rrl", heads=(r"$n$", r"$i$", "value"))
     payload = {
         "command": "ortho",
         "variant": variant,
-        "nmax": nmax,
+        "nmax": args.nmax,
         "passed": report.passed,
         "entries": table.json_rows(),
         "first_violation": None if report.first_violation is None
         else table.json_row(report.first_violation),
     }
-    _emit(cfg, payload, table)
+    _emit(args, payload, table)
     return 0 if report.passed else VERDICT_FAIL
 
 
-def cmd_recur(cfg: RunConfig) -> int:
-    if cfg.Q is None:
-        raise CliError("recur needs --Q")
-    if cfg.Q.is_zero():
+def cmd_recur(args: argparse.Namespace) -> int:
+    if args.Q.is_zero():
         raise CliError("recur needs a nonzero --Q")
-    nmax = cfg.nmax if cfg.nmax is not None else 20
-    band = cfg.band if cfg.band is not None else cfg.Q.degree
-    rec = recurrence_table(cfg.family, cfg.Q, nmax)
+    band = args.Q.degree if args.band is None else args.band
+    rec = recurrence_table(args.family, args.Q, args.nmax)
     ok = verify_band(rec, band)
     table = Table(("n", "j", "gamma"), [(n, j, g) for n, row in sorted(rec.rows.items())
                                         for j, g in sorted(row.items())])
     latex = Table(table.names, [(n, j, _latex_frac(g)) for n, j, g in table.rows],
                   colspec="rrl", heads=(r"$n$", r"$j$", r"$\gamma_{n,j}$"),
-                  note=f"$Q = {render(cfg.Q)}$")
+                  note=f"$Q = {render(args.Q)}$")
     payload = {
         "command": "recur",
-        "Q": render(cfg.Q),
-        "nmax": nmax,
+        "Q": render(args.Q),
+        "nmax": args.nmax,
         "band": band,
         "band_ok": ok,
         "rows": table.json_rows(),
     }
-    _emit(cfg, payload, table, latex)
+    _emit(args, payload, table, latex)
     return 0 if ok else VERDICT_FAIL
 
 
-def cmd_three_term(cfg: RunConfig) -> int:
-    nmax = cfg.nmax if cfg.nmax is not None else 20
-    res = three_term_test(cfg.family, nmax)
+def cmd_three_term(args: argparse.Namespace) -> int:
+    res = three_term_test(args.family, args.nmax)
     table = Table(("n", "a", "b", "c"),
-                  [(n, res.a[n], res.b[n], res.c[n]) for n in range(nmax + 1)],
+                  [(n, res.a[n], res.b[n], res.c[n]) for n in range(args.nmax + 1)],
                   title="Three-term coefficients", colspec="rlll",
                   heads=(r"$n$", r"$a_n$", r"$b_n$", r"$c_n$"))
     payload = {
         "command": "three-term",
-        "nmax": nmax,
+        "nmax": args.nmax,
         "passed": res.passed,
         "failure": res.failure,
         "coeffs": table.json_rows(),
     }
-    _emit(cfg, payload, table)
+    _emit(args, payload, table)
     return 0 if res.passed else VERDICT_FAIL
 
 
-def cmd_probe(cfg: RunConfig) -> int:
-    if cfg.deg is None:
-        raise CliError("probe needs --deg")
-    result = algebra_probe(cfg.family, cfg.deg, cfg.band, cfg.nmax)
-    ok = reverify_probe(cfg.family, result)
+def cmd_probe(args: argparse.Namespace) -> int:
+    result = algebra_probe(args.family, args.deg, args.band, args.nmax)
+    ok = reverify_probe(args.family, result)
     table = Table(("index", "Q"), list(enumerate(result.basis)),
                   title="Eigenvalue algebra basis", colspec="rl",
                   heads=(r"\#", r"$Q$"))
@@ -257,17 +241,17 @@ def cmd_probe(cfg: RunConfig) -> int:
         "basis": [render(p) for p in result.basis],
         "reverified": ok,
     }
-    _emit(cfg, payload, table)
+    _emit(args, payload, table)
     return 0 if ok else VERDICT_FAIL
 
 
-def cmd_preset(cfg: RunConfig) -> int:
-    spec = cfg.family
+def cmd_preset(args: argparse.Namespace) -> int:
+    spec = args.family
     table = Table(("key", "value"),
                   [("alpha", spec.alpha)] + [(f"R_{g}", spec.R[g]) for g in spec.G])
     latex = Table(("g", "R_g"), [(g, spec.R[g]) for g in spec.G],
                   title="Expanded preset", colspec="rl", heads=(r"$g$", r"$R_g$"))
-    _emit(cfg, {"command": "preset", "family": spec.to_json_dict()}, table, latex)
+    _emit(args, {"command": "preset", "family": spec.to_json_dict()}, table, latex)
     return 0
 
 
@@ -289,29 +273,58 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+def _size(text: str) -> int:
+    """argparse type of the size flags: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+# flag -> (argparse type, help)
+_FLAGS = {
+    "--nmax": (_size, "largest family index"),
+    "--Q": (str, "polynomial, e.g. 'x^4+16*x^3'"),
+    "--deg": (_size, "degree cap"),
+    "--band": (_size, "band to verify"),
+}
+
+# subcommand -> (help, {flag: default}) for the flags it reads besides
+# --config, --format and --out.  None marks a required flag; a string default
+# names a fallback computed from the input (the flag then parses to None).
+_SUBCOMMANDS = {
+    "check": ("certify that the family determinant never vanishes on n >= 0", {}),
+    "qpoly": ("print the family members q_0..q_nmax", {"--nmax": 8}),
+    "ortho": ("verify triangular orthogonality under the matching form", {"--nmax": 10}),
+    "recur": ("expand Q*q_n in the family and verify a symmetric band",
+              {"--Q": None, "--nmax": 20, "--band": "deg Q"}),
+    "three-term": ("test for a three-term recurrence with nonzero down-coefficients",
+                   {"--nmax": 20}),
+    "probe": ("compute a basis of banded eigenvalue polynomials up to a degree cap",
+              {"--deg": None, "--band": "--deg", "--nmax": "2*deg+maxG+10"}),
+    "preset": ("expand a preset config into explicit seeds", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="casolag",
         description="Exact computations with Casoratian-seeded Laguerre type families.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("check", "certify that the family determinant never vanishes on n >= 0"),
-        ("qpoly", "print the family members q_0..q_nmax"),
-        ("ortho", "verify triangular orthogonality under the matching form"),
-        ("recur", "expand Q*q_n in the family and verify a symmetric band"),
-        ("three-term", "test for a three-term recurrence with nonzero down-coefficients"),
-        ("probe", "compute a basis of banded eigenvalue polynomials up to a degree cap"),
-        ("preset", "expand a preset config into explicit seeds"),
-    ]:
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="family config JSON path")
-        p.add_argument("--nmax", type=int, default=None, help="largest family index")
-        p.add_argument("--Q", default=None, help="polynomial, e.g. 'x^4+16*x^3'")
-        p.add_argument("--deg", type=int, default=None, help="degree cap for probe")
-        p.add_argument("--band", type=int, default=None, help="band override")
+        for flag, default in flags.items():
+            kind, flag_help = _FLAGS[flag]
+            suffix = "" if default is None else f" (default: {default})"
+            p.add_argument(flag, type=kind, required=default is None, help=flag_help + suffix,
+                           default=default if isinstance(default, int) else None)
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "latex"),
-                       default="json")
-        p.add_argument("--out", default=None, help="write report here instead of stdout")
+                       default="json", help="report format (default: %(default)s)")
+        p.add_argument("--out", help="write report here instead of stdout")
     return parser
 
 
@@ -323,20 +336,13 @@ def _error_json(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for flag, value in (("--nmax", args.nmax), ("--deg", args.deg), ("--band", args.band)):
-            if value is not None and value < 0:
-                raise CliError(f"{flag} must be >= 0, got {value}")
-        family = _load_family(args.config)
-        Q = None
-        if args.Q is not None:
+        args.family = _load_family(args.config)
+        if "Q" in args:
             try:
-                Q = parse_poly(args.Q)
+                args.Q = parse_poly(args.Q)
             except ParseError as e:
                 raise CliError(f"bad --Q: {e}") from e
-        cfg = RunConfig(command=args.command, family=family, nmax=args.nmax,
-                        Q=Q, deg=args.deg, band=args.band, fmt=args.fmt,
-                        out=args.out)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](args)
     except CliError as e:
         _error_json(e.kind, str(e))
         return USAGE_ERROR

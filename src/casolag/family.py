@@ -29,9 +29,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .laguerre import laguerre
-from .linalg import clear_denominators, det_int, solve_linear, InconsistentSystem
+from .linalg import det_int, solve_linear, InconsistentSystem
 from .parsing import parse_poly
-from .poly import Poly, as_rat, integer_roots, rat_str, render
+from .poly import Poly, as_rat, clear_denominators, integer_roots, rat_str, render
 from .special import binom_poly, poch
 
 

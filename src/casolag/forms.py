@@ -136,16 +136,6 @@ def u_function_alt(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly
     return _correction(spec, _row_weights(spec, kappa_row), i, 0, max(spec.m - i - 1, 0))
 
 
-def xi_u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
-    """Laurent correction of the xi variant for row i: u_function with the
-    x^(i-m) head scaled by (i-m+alpha+1)_{max(0,m-alpha)}, which vanishes
-    exactly for the rows where that power would reach a Gamma pole.  The
-    terms with l >= alpha drop out, since (alpha-l)_l = 0 there; they move
-    to the discrete part."""
-    return _correction(spec, _row_weights(spec, kappa_row), i,
-                       max(0, spec.m - _xi_alpha(spec)))
-
-
 def _xi_alpha(spec: FamilySpec) -> int:
     alpha = spec.alpha
     if alpha.denominator != 1 or not 1 <= alpha <= spec.max_g:
@@ -202,7 +192,9 @@ class BilinearForm:
         return cls(spec, kappa, "xi")
 
     def corrections(self) -> List[LaurentPoly]:
-        """The U_i: u_function for the generic variant, xi_u_function for xi."""
+        """The U_i: u_function for the generic variant; for xi, the same with
+        the x^(i-m) head scaled by (i-m+alpha+1)_d, which vanishes exactly
+        for the rows where that power would reach a Gamma pole."""
         if self._corrections is None:
             self._corrections = [_correction(self.spec, self._weights[i], i, self._d)
                                  for i in range(self.spec.m)]

@@ -11,12 +11,11 @@ across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .poly import as_rat
+from .poly import as_rat, clear_denominators
 
 
 class InconsistentSystem(Exception):
@@ -139,13 +138,6 @@ def det_int(M: Sequence[Sequence[int]]) -> int:
                                        for j in range(c + 1, n)]
         prev = piv
     return sign * rows[-1][-1] if n else 1
-
-
-def clear_denominators(values: Sequence) -> Tuple[int, List[int]]:
-    """(L, [L*v for v in values]) with L the lcm of the denominators."""
-    values = [as_rat(v) for v in values]
-    lcm = math.lcm(*(v.denominator for v in values))
-    return lcm, [v.numerator * (lcm // v.denominator) for v in values]
 
 
 def det_rat(M: Sequence[Sequence]) -> Fraction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, List, Tuple, Union
 
 Rat = Fraction
 
@@ -320,10 +320,16 @@ def _sign_changes(chain, x: int) -> int:
     return sum(u != w for u, w in zip(signs, signs[1:]))
 
 
+def clear_denominators(values: Iterable) -> Tuple[int, List[int]]:
+    """(L, [L*v for v in values]) with L the lcm of the denominators."""
+    values = [as_rat(v) for v in values]
+    lcm = math.lcm(*(v.denominator for v in values))
+    return lcm, [v.numerator * (lcm // v.denominator) for v in values]
+
+
 def _primitive(cs) -> list:
     """Positive rational multiple of cs with coprime integer coefficients."""
-    den = math.lcm(*(Fraction(c).denominator for c in cs))
-    ints = [int(c * den) for c in cs]
+    ints = clear_denominators(cs)[1]
     g = math.gcd(*ints)
     return [c // g for c in ints]
 

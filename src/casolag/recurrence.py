@@ -243,15 +243,13 @@ class ObstructionResult:
     bands_refuted_up_to: Optional[int] = None
 
 
-def obstruction_test(spec: FamilySpec, Q: Poly, n_check: int = 20,
-                     cross_check: bool = True) -> ObstructionResult:
+def obstruction_test(spec: FamilySpec, Q: Poly, n_check: int = 20) -> ObstructionResult:
     """Witness-based impossibility test for banded recurrences with this Q.
 
     If some g in G has g - u >= 0 and g - u not in G, where u is the lowest
     nonzero power of Q, no banded recurrence exists (for parameters away
-    from the integer range 1..maxG).  When obstructed and cross_check is
-    set, also refutes every symmetric band s <= n_check directly on the
-    computed table.
+    from the integer range 1..maxG).  When obstructed, also refutes every
+    symmetric band s <= n_check directly on the computed table.
     """
     if Q.is_zero():
         raise ValueError("Q must be nonzero")
@@ -270,15 +268,12 @@ def obstruction_test(spec: FamilySpec, Q: Poly, n_check: int = 20,
             break
     if witness is None:
         return ObstructionResult(False)
-    refuted = None
-    if cross_check:
-        table = recurrence_table(spec, Q, n_check)
-        for s in range(n_check + 1):
-            if verify_band(table, s):
-                raise AssertionError(
-                    f"band {s} exists despite obstruction witness g={witness}")
-        refuted = n_check
-    return ObstructionResult(True, witness=witness, bands_refuted_up_to=refuted)
+    table = recurrence_table(spec, Q, n_check)
+    for s in range(n_check + 1):
+        if verify_band(table, s):
+            raise AssertionError(
+                f"band {s} exists despite obstruction witness g={witness}")
+    return ObstructionResult(True, witness=witness, bands_refuted_up_to=n_check)
 
 
 @dataclass

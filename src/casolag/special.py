@@ -1,12 +1,10 @@
-"""Pochhammer symbols, Gamma-function ratios, generalized binomials,
-the binomial basis binom(x+l, l), and Casoratian determinants.
+"""Pochhammer symbols, generalized binomials, the binomial basis
+binom(x+l, l), and Casoratian determinants.
 
-Gamma functions never appear alone in this package, only as ratios
-Gamma(a+s)/Gamma(a) with integer s, which are rational in a.  Normalizing
-every moment by Gamma(a) therefore keeps the entire computation inside the
-rationals.  A ratio with negative shift can hit a pole of the denominator
-Pochhammer product; that is reported as PoleError and means the weight
-parameter sits at one of the excluded integer values.
+Gamma functions never appear alone in this package: the moments of the
+Laguerre weight, normalized by Gamma(alpha), are the Pochhammer symbols
+(alpha)_s = Gamma(alpha+s)/Gamma(alpha), which keeps the entire computation
+inside the rationals.
 """
 
 from __future__ import annotations
@@ -19,15 +17,6 @@ from .linalg import det_rat
 from .poly import Poly, as_rat
 
 
-class PoleError(ArithmeticError):
-    """Gamma ratio evaluated at a pole of the analytic continuation."""
-
-    def __init__(self, alpha, s):
-        self.alpha = alpha
-        self.s = s
-        super().__init__(f"gamma_ratio({alpha}, {s}) hits a Gamma pole")
-
-
 def poch(a, n: int) -> Fraction:
     """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1."""
     if n < 0:
@@ -37,23 +26,6 @@ def poch(a, n: int) -> Fraction:
     for k in range(n):
         out *= a + k
     return out
-
-
-def gamma_ratio(alpha, s: int) -> Fraction:
-    """Gamma(alpha+s)/Gamma(alpha) for integer s, exactly.
-
-    Equals poch(alpha, s) for s >= 0 and 1/poch(alpha+s, -s) for s < 0.
-    The s >= 0 branch also covers nonpositive-integer alpha by continuity
-    (the ratio of two poles of consecutive order is the limit value 0 or a
-    finite number, which is what the Pochhammer product yields).
-    """
-    alpha = as_rat(alpha)
-    if s >= 0:
-        return poch(alpha, s)
-    denom = poch(alpha + s, -s)
-    if denom == 0:
-        raise PoleError(alpha, s)
-    return 1 / denom
 
 
 def binom_rat(top, k: int) -> Fraction:

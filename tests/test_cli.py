@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 from importlib import resources
 
 import jsonschema
@@ -287,6 +290,7 @@ def test_help_exits_zero(capsys, argv):
     assert out.startswith("usage: casolag")
 
 
+# check and preset read no size flag, so their cases are unknown flags
 @pytest.mark.parametrize("argv", [
     ("check", "--nmax", "-1"),
     ("qpoly", "--nmax", "-3"),
@@ -306,6 +310,90 @@ def test_out_of_domain_flags_are_usage_errors(cfg, capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"]["kind"] == "usage"
+
+
+# the flags each subcommand reads besides --config, --format and --out;
+# recur and probe also need their required flag when another is tested
+READS = {"check": (), "preset": (), "qpoly": ("--nmax",), "ortho": ("--nmax",),
+         "three-term": ("--nmax",), "recur": ("--Q", "--nmax", "--band"),
+         "probe": ("--deg", "--band", "--nmax")}
+REQUIRED = {"recur": ("--Q", "x"), "probe": ("--deg", "2")}
+VALUES = {"--nmax": "3", "--Q": "x^2", "--deg": "2", "--band": "2"}
+UNREAD = [(command, flag) for command, flags in READS.items()
+          for flag in VALUES if flag not in flags]
+
+
+def test_subcommands_take_only_the_flags_they_read(capsys):
+    settable = 0
+    for command, flags in READS.items():
+        _, out, _ = run(capsys, command, "--help")
+        usage = re.findall(r"--\w+", out.split("\n\n")[0])
+        assert usage == ["--config", *flags, "--format", "--out"]
+        settable += len(usage)
+    assert (settable, len(UNREAD)) == (30, 19)
+
+
+@pytest.mark.parametrize("command,flag", UNREAD,
+                         ids=[f"{c} {f} {VALUES[f]}" for c, f in UNREAD])
+def test_unread_flag_is_usage_error(cfg, capsys, command, flag):
+    code, out, err = run(capsys, command, "--config", cfg(REMARK),
+                         *REQUIRED.get(command, ()), flag, VALUES[flag])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage"
+    assert error["message"] == f"casolag: unrecognized arguments: {flag} {VALUES[flag]}"
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (("qpoly",), "nmax", 8),
+    (("ortho",), "nmax", 10),
+    (("three-term",), "nmax", 20),
+    (("recur", "--Q", "x^4+16*x^3"), "nmax", 20),
+    (("recur", "--Q", "x^4+16*x^3"), "band", 4),  # deg Q
+    (("probe", "--deg", "3"), "band", 3),  # the degree cap
+    (("probe", "--deg", "3"), "nmax", 2 * 3 + 5 + 10),  # 2*deg+maxG+10
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_flag_defaults(cfg, capsys, argv, key, value):
+    family = KRALL if argv[0] == "three-term" else REMARK
+    code, out, err = run(capsys, argv[0], "--config", cfg(family), *argv[1:])
+    assert code in (0, 2) and err == ""
+    assert json.loads(out)[key] == value
+
+
+def test_help_shows_defaults(capsys):
+    for command, defaults in [("qpoly", ["8"]), ("ortho", ["10"]),
+                              ("three-term", ["20"]), ("recur", ["20", "deg Q"]),
+                              ("probe", ["--deg", "2*deg+maxG+10"])]:
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        for default in defaults + ["json"]:
+            assert f"(default: {default})" in out
+
+
+@pytest.mark.parametrize("value,message", [
+    ("abc", "invalid int value: 'abc'"),
+    ("-1", "must be >= 0, got -1"),
+])
+def test_size_flag_messages(cfg, capsys, value, message):
+    code, _, err = run(capsys, "ortho", "--config", cfg(REMARK), "--nmax", value)
+    assert code == 1
+    assert json.loads(err)["error"]["message"] == f"casolag ortho: argument --nmax: {message}"
+
+
+def test_readme_command_lines_run(cfg, capsys):
+    # every `casolag ...` line of README's "Command line" block, on test
+    # configs; exit 1 means a stale flag or subcommand
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    paths = {"family.json": cfg(REMARK), "preset.json": cfg(KRALL, "preset.json")}
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("casolag ")]
+    assert {argv[1] for argv in lines} == set(READS)
+    for argv in lines:
+        code, _, err = run(capsys, *(paths.get(a, a) for a in argv[1:]))
+        assert code != 1, (argv, err)
 
 
 @pytest.mark.parametrize("argv", [

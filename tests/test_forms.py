@@ -6,7 +6,7 @@ import casolag.forms
 from casolag import (BilinearForm, FamilySpec, Poly, VariantError,
                      closed_form_moment, kappa_matrix, kappa_solve, laguerre,
                      ortho_check, parse_poly, q_poly, u_function,
-                     u_function_alt, xi_u_function)
+                     u_function_alt)
 from casolag.special import to_binomial_basis
 
 

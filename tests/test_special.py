@@ -4,9 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casolag import (PoleError, Poly, binom_rat, casoratian,
-                     from_binomial_basis, gamma_ratio, parse_poly, poch,
-                     to_binomial_basis)
+from casolag import (Poly, binom_rat, casoratian, from_binomial_basis,
+                     parse_poly, poch, to_binomial_basis)
 from casolag.special import binom_poly, combinatorial_identity_check
 
 
@@ -20,31 +19,6 @@ def test_poch_values():
 def test_poch_negative_n_rejected():
     with pytest.raises(ValueError):
         poch(F(1), -1)
-
-
-def test_gamma_ratio_shift_up():
-    # Gamma(alpha+s)/Gamma(alpha) for s >= 0
-    assert gamma_ratio(F(7), 3) == 7 * 8 * 9
-    assert gamma_ratio(F(1, 2), 2) == F(3, 4)
-    assert gamma_ratio(F(7), 0) == 1
-
-
-def test_gamma_ratio_shift_down():
-    assert gamma_ratio(F(7), -2) == F(1, 30)  # 1/(5*6)
-    assert gamma_ratio(F(7, 2), -1) == F(2, 5)
-
-
-def test_gamma_ratio_pole():
-    with pytest.raises(PoleError):
-        gamma_ratio(F(2), -2)  # Gamma(0)/Gamma(2)
-    with pytest.raises(PoleError):
-        gamma_ratio(F(1), -3)
-
-
-def test_gamma_ratio_functional_equation():
-    for alpha in (F(7), F(3, 2), F(22, 7)):
-        for s in range(-2, 4):
-            assert gamma_ratio(alpha, s + 1) == gamma_ratio(alpha, s) * (alpha + s)
 
 
 def test_binom_rat():
