@@ -28,6 +28,17 @@ xi the discrete part supplies that same term for every l >= alpha+a, while
 least 1, so the weight moments are plain Pochhammer symbols and no Gamma
 pole can occur.  The variant survives only in d.
 
+BilinearForm pairs through the Gram row of p, row_p[b] = <p, x^b>:
+
+    row_p[b] = sum_a p_a c_b[a]                          for b < m,
+    row_p[b] = b!/(b-d)! sum_a p_a (alpha)_(a+b-m+1)     for b >= m,
+
+with c_b[a] = sum_l (alpha-l)_a W_b[l], and <p, q> = sum_b q_b row_p[b].
+The form keeps the row of the last p it paired and extends it lazily to the
+length of each q, so pairing q_n with q_0..q_n in turn builds each entry of
+q_n's row once: O(n) operations per entry and per dot product, so
+O(nmax^3) for ortho_check's whole triangle.
+
 The kappa coefficients entering the corrections are solved once per family:
 row i annihilates the seed values at -1..-(m-1-i) and is normalized to give
 value 1 at -(m-i), with non-pivot components zeroed, which makes the matrix
@@ -154,13 +165,14 @@ def _check_generic(spec: FamilySpec) -> None:
 class BilinearForm:
     """A family's bilinear form with a fixed kappa matrix and variant.
 
-    Pairs by the Gram formula of the module docstring; the variant only
-    chooses d.  The moments (alpha)_s and the m columns
-    c_b[a] = sum_l (alpha-l)_a W_b[l] grow as longer polynomials are paired
-    and are reused by every later pairing:
-
-        <p,q> = sum_{b<m} q_b sum_a p_a c_b[a]
-              + sum_{b>=m} q_b b!/(b-d)! sum_a p_a (alpha)_(a+b-m+1).
+    Pairs by the Gram row of the module docstring; the variant only chooses
+    d.  Three tables grow as longer polynomials are paired and are reused by
+    every later pairing: the moments (alpha)_s, the running Pochhammer
+    symbols (alpha-l)_a with (alpha-l)_(a+1) = (alpha-l)_a (alpha-l+a), and
+    the m columns c_b[a] = sum_l (alpha-l)_a W_b[l].  A one-slot memo keyed
+    on p's coefficients holds row_p, so inner(p, q) costs one dot product
+    with q plus whatever entries of row_p no earlier q reached; pairing a
+    different p starts a new row.
 
     corrections() builds the Laurent corrections U_i themselves, which the
     pairing does not need.
@@ -181,7 +193,11 @@ class BilinearForm:
         self._moments = [Fraction(1)]  # (alpha)_s for s = 0, 1, ...
         ws = _seed_ws(spec)
         self._weights = [_seed_weights(spec, ws, self.kappa.row(b)) for b in range(spec.m)]
+        # (alpha-l)_a for l = 0..maxG, one tuple per a = 0, 1, ...
+        self._pochs = [(Fraction(1),) * (spec.max_g + 1)]
         self._columns: List[List[Fraction]] = [[] for _ in range(spec.m)]
+        self._row_key: Optional[Tuple[Fraction, ...]] = None  # p.coeffs of the row
+        self._row: List[Fraction] = []
 
     @classmethod
     def generic(cls, spec: FamilySpec, kappa: Optional[KappaMatrix] = None):
@@ -202,10 +218,14 @@ class BilinearForm:
 
     def _column(self, b: int, n: int) -> List[Fraction]:
         """c_b[a] for a < n at least."""
-        col = self._columns[b]
+        col, pochs = self._columns[b], self._pochs
+        alpha = self.spec.alpha
+        while len(pochs) < n:
+            a = len(pochs) - 1
+            pochs.append(tuple(r * (alpha - l + a) for l, r in enumerate(pochs[a])))
         for a in range(len(col), n):
-            col.append(sum((poch(self.spec.alpha - l, a) * w
-                            for l, w in enumerate(self._weights[b]) if w != 0), Fraction(0)))
+            col.append(sum((r * w for r, w in zip(pochs[a], self._weights[b]) if w != 0),
+                           Fraction(0)))
         return col
 
     def _moments_to(self, s: int) -> List[Fraction]:
@@ -215,21 +235,26 @@ class BilinearForm:
             g.append(g[-1] * (self.spec.alpha + len(g) - 1))
         return g
 
-    def inner(self, p: Poly, q: Poly) -> Fraction:
-        """<p, q> divided by Gamma(alpha): sum_{a,b} p_a q_b <x^a, x^b>."""
-        m, pc = self.spec.m, p.coeffs
-        total = Fraction(0)
-        for b, qb in enumerate(q.coeffs):
-            if qb == 0:
-                continue
+    def _gram_row(self, p: Poly, n: int) -> List[Fraction]:
+        """<p, x^b> for b < n at least, kept for the last p paired."""
+        pc = p.coeffs
+        if pc != self._row_key:
+            self._row_key, self._row = pc, []
+        row, m = self._row, self.spec.m
+        for b in range(len(row), n):
             if b < m:
-                gram, off = self._column(b, len(pc)), 0
+                gram, off, f = self._column(b, len(pc)), 0, 1
             else:
                 gram, off = self._moments_to(len(pc) + b - m), b - m + 1
-                qb *= math.perm(b, self._d)
-            total += qb * sum((pa * gram[a + off] for a, pa in enumerate(pc) if pa != 0),
-                              Fraction(0))
-        return total
+                f = math.perm(b, self._d)
+            row.append(f * sum((pa * gram[a + off] for a, pa in enumerate(pc) if pa != 0),
+                               Fraction(0)))
+        return row
+
+    def inner(self, p: Poly, q: Poly) -> Fraction:
+        """<p, q> divided by Gamma(alpha): sum_b q_b <p, x^b>."""
+        row = self._gram_row(p, len(q.coeffs))
+        return sum((qb * row[b] for b, qb in enumerate(q.coeffs) if qb != 0), Fraction(0))
 
 
 def closed_form_moment(spec: FamilySpec, kappa_row: Sequence, k: int, u: int) -> Fraction:
@@ -263,7 +288,10 @@ class OrthoReport:
 
 
 def ortho_check(spec: FamilySpec, form: BilinearForm, nmax: int) -> OrthoReport:
-    """Verify <q_n, q_i> = 0 for i < n <= nmax and <q_n, q_n> != 0, exactly."""
+    """Verify <q_n, q_i> = 0 for i < n <= nmax and <q_n, q_n> != 0, exactly.
+
+    Pairs q_n with q_0..q_n in that order, so the form builds q_n's Gram row
+    once and each pairing is one dot product."""
     qs = [q_poly(spec, n) for n in range(nmax + 1)]
     entries = []
     violation = None

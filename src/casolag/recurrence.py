@@ -218,7 +218,8 @@ def three_term_test(spec: FamilySpec, nmax: int) -> ThreeTermResult:
 
     Pass is equivalent (by the classical recurrence-to-measure argument) to
     orthogonality with respect to some quasi-definite moment functional.
-    Checked exactly on rows 0..nmax.
+    Checked exactly on rows 0..nmax.  Needs nmax >= 2, otherwise nothing is
+    certified: rows n <= 1 hold no coefficient below -1.
     """
     table = recurrence_table(spec, Poly.x(), nmax)
     a = [table.gamma(n, 1) for n in range(nmax + 1)]
@@ -233,6 +234,9 @@ def three_term_test(spec: FamilySpec, nmax: int) -> ThreeTermResult:
         if c[n] == 0:
             return ThreeTermResult(nmax, False, a, b, c,
                                    failure=f"c_{n} = 0")
+    if nmax < 2:
+        return ThreeTermResult(nmax, False, a, b, c,
+                               failure="nothing certified: needs nmax >= 2")
     return ThreeTermResult(nmax, True, a, b, c)
 
 

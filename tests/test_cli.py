@@ -174,6 +174,19 @@ def test_three_term(cfg, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("nmax", ["0", "1"])
+@pytest.mark.parametrize("family", [KRALL, REMARK, CLOSING])
+def test_three_term_below_two_rows_fails(nmax, family, cfg, capsys):
+    code, out, _ = run(capsys, "three-term", "--config", cfg(family),
+                       "--nmax", nmax)
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, report_schema("three-term"))
+    assert payload["passed"] is False
+    assert payload["failure"] == "nothing certified: needs nmax >= 2"
+    assert len(payload["coeffs"]) == int(nmax) + 1
+
+
 def test_probe(cfg, capsys):
     code, out, _ = run(capsys, "probe", "--config", cfg(CLOSING), "--deg", "3")
     assert code == 0

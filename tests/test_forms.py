@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import casolag.forms
 from casolag import (BilinearForm, FamilySpec, Poly, VariantError,
                      closed_form_moment, kappa_matrix, kappa_solve, laguerre,
-                     ortho_check, parse_poly, q_poly, u_function,
+                     ortho_check, parse_poly, poch, q_poly, u_function,
                      u_function_alt)
 from casolag.special import to_binomial_basis
 
@@ -172,3 +173,56 @@ def test_form_expands_each_seed_once(variant, nonsegment_spec, integer_alpha_spe
     form.corrections()
     form.inner(q_poly(spec, 6), q_poly(spec, 4))
     assert calls <= len(spec.G)
+
+
+coeff = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+polys = st.lists(coeff, max_size=8).map(Poly)
+
+
+@pytest.mark.parametrize("variant", ["generic", "xi"])
+def test_inner_memo_matches_fresh_form(variant, nonsegment_spec, integer_alpha_spec):
+    # one form across all examples, so its Gram row memo sees p switch back
+    # and forth, p replaced by an equal but distinct Poly, and rows extended
+    # by a q longer than any the form has paired before
+    spec = nonsegment_spec if variant == "generic" else integer_alpha_spec
+    form = BilinearForm(spec, None, variant)
+    longest = 0
+
+    def fresh(p, q):
+        return BilinearForm(spec, form.kappa, variant).inner(p, q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys, polys, st.lists(polys, min_size=3, max_size=3), st.integers(1, 4))
+    def check(p1, other, qs, extra):
+        nonlocal longest
+        p2 = Poly(p1.coeffs)
+        assert p2 is not p1 and p2 == p1
+        longest = max([longest] + [len(q.coeffs) for q in qs])
+        longer = qs[0] + Poly.monomial(longest + extra)
+        longest = len(longer.coeffs)
+        for p, q in [(p1, qs[0]), (p2, qs[1]), (p1, qs[2]), (other, qs[1]),
+                     (p2, longer), (p1, qs[0]), (other, longer)]:
+            assert form.inner(p, q) == fresh(p, q)
+
+    check()
+
+
+@pytest.mark.parametrize("variant", ["generic", "xi"])
+def test_column_running_pochhammer_matches_poch(variant, nonsegment_spec,
+                                                integer_alpha_spec):
+    spec = nonsegment_spec if variant == "generic" else integer_alpha_spec
+    alpha, ls = spec.alpha, range(spec.max_g + 1)
+    form = BilinearForm(spec, None, variant)
+    n = 12
+    for b in range(spec.m):  # columns grown in two steps, to different lengths
+        form._column(b, 3 + b)
+    for b in range(spec.m):
+        col = form._column(b, n)
+        for a in range(n):
+            assert col[a] == sum((poch(alpha - l, a) * form._weights[b][l] for l in ls), F(0))
+    for a in range(n):
+        assert form._pochs[a] == tuple(poch(alpha - l, a) for l in ls)
+    # at integer alpha = 1 the factor alpha - l reaches 0, after which
+    # (alpha-l)_a stays 0; at alpha = 7 > maxG it never does
+    zeros = [(l, a) for l in ls for a in range(n) if form._pochs[a][l] == 0]
+    assert bool(zeros) == (variant == "xi")

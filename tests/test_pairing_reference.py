@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casolag import (BilinearForm, FamilySpec, LaurentPoly, Poly,
-                     VariantError, parse_poly, poch)
+                     VariantError, ortho_check, parse_poly, poch, q_poly)
 from casolag.special import to_binomial_basis
 
 
@@ -129,3 +129,24 @@ def test_inner_matches_reference(variant, alpha, seeds):
 def test_variant_error_outside_range(variant, alpha, seeds):
     with pytest.raises(VariantError):
         BilinearForm(spec(alpha, seeds), None, variant)
+
+
+@pytest.mark.parametrize("variant,alpha,seeds", [
+    ("generic", F(7), NONSEGMENT),
+    ("xi", F(1), INTEGER_ALPHA),
+    ("xi", F(2), WIDE),
+])
+def test_ortho_check_entries_match_reference(variant, alpha, seeds):
+    # every pairing of the triangle goes through the form's memoised Gram
+    # row of q_n; the reference pairs each (q_n, q_i) from scratch
+    s = spec(alpha, seeds)
+    form = BilinearForm(s, None, variant)
+    corrections = reference_corrections(form)
+    nmax = 20
+    report = ortho_check(s, form, nmax)
+    assert report.passed
+    qs = [q_poly(s, n) for n in range(nmax + 1)]
+    assert [(n, i) for n, i, _ in report.entries] == [
+        (n, i) for n in range(nmax + 1) for i in range(n + 1)]
+    for n, i, v in report.entries:
+        assert v == reference_inner(form, qs[n], qs[i], corrections), (n, i)

@@ -147,6 +147,22 @@ def test_three_term_krall_pass():
     assert res2.passed
 
 
+@pytest.mark.parametrize("nmax", [0, 1])
+def test_three_term_needs_two_rows(nmax, nonsegment_spec):
+    # rows n <= 1 hold no coefficient below -1, so a pass there would be
+    # vacuous: the Krall family has a three-term recurrence and the generic
+    # one has none (it fails at nmax = 2), yet neither can pass at nmax <= 1
+    krall = krall_preset(2, 2, [F(1), F(1)])
+    for spec in (krall, nonsegment_spec):
+        res = three_term_test(spec, nmax)
+        assert not res.passed
+        assert res.failure == "nothing certified: needs nmax >= 2"
+        assert len(res.c) == nmax + 1
+    assert three_term_test(krall, 2).passed
+    res = three_term_test(nonsegment_spec, 2)
+    assert res.failure == "gamma_(2,-2) = -624/119 != 0"
+
+
 def test_three_term_fails_off_class(nonsegment_spec):
     res = three_term_test(nonsegment_spec, 10)
     assert not res.passed
