@@ -3,16 +3,25 @@
 Multiplying a family member by a polynomial Q and re-expanding in the family
 gives Q(x) q_n = sum_j gamma_{n,j} q_{n+j} with exact rational gamma_{n,j}.
 One engine computes every expansion in the Laguerre basis L_t = L_t^alpha,
-on windows (lo, w) = sum_i w_i L_{lo+i}: q_n is supported on [n-m, n], so
-x^k q_n is supported on [n-m-k, n+k] whatever n is.  Two steps act on
-windows.  The x-step applies the three-term rule x L_t = -(t+1) L_{t+1} +
-(2t+alpha+1) L_t - (t+alpha) L_{t-1} and widens the window by one at each
-end (only at the top once it reaches L_0).  The back-substitution peels q_k off top down through the beta rows
-of q_k = sum_{j<=min(m,k)} beta_{k,j} L_{k-j}: c_k = w_k / beta_{k,0}, then
-w_{k-j} -= c_k beta_{k,j}, for every k down to a stopping index; it
-returns the c_k and the residual window left below that index.  A table of
-one Q applies Q by Horner on windows and back-substitutes each row to
-index 0, ending early once nothing nonzero is left below.
+in integers: a window (lo, w, den) is sum_i (w_i / den) L_{lo+i} with
+integer w_i and nonzero integer den, and the beta ladder holds each row of q_k =
+sum_{j<=min(m,k)} beta_{k,j} L_{k-j} once as a primitive integer row b_k
+and a scale, beta_{k,j} = b_{k,j} / scale_k.  q_n is supported on
+[n-m, n], so x^k q_n is supported on [n-m-k, n+k] whatever n is.  The
+x-step applies x L_t = -(t+1) L_{t+1} + (2t+alpha+1) L_t - (t+alpha)
+L_{t-1}, multiplied through by alpha's denominator, and widens the window
+by one at each end (only at the top once it reaches L_0).  The
+back-substitution peels q_k off top down, for every k down to a stopping
+index, without dividing: with top entry e and g = gcd(e, b_{k,0}), the
+entries below k and den are multiplied by b_{k,0}/g and (e/g) b_{k,j} is
+subtracted at k-j.  Each entry keeps the den it was last written over and
+is brought up to the current one only when a step reads or writes it, so a
+step costs O(m) however long the window is.  The residual window left
+below the stopping index has its content taken out once, at the end; c_k
+= e scale_k / (den b_{k,0}) becomes a Fraction only for callers that need
+gamma.  A table of one Q applies Q by Horner on windows and
+back-substitutes each row to index 0, ending early once nothing nonzero is
+left below.
 
 A subset of polynomials Q produce BANDED tables (gamma_{n,j} = 0 below a
 fixed shift -s with nonzero extremes); those Q form an algebra, probed here
@@ -23,7 +32,9 @@ The residual is linear in Q and lives on at most m + max(0, d-B) indices,
 so "no coefficients below the band through row N" is a small linear system
 in the coefficients of Q.  The probe builds the residuals of x^0..x^d in
 one pass over one beta ladder: one x-step per power and row, each
-back-substituted from n + k down to n - B only.
+back-substituted from n + k down to n - B only.  Row n's constraints are
+brought to one denominator across k, which leaves the nullspace as it is,
+and handed to the solver as integers.
 
 Membership certified by the probe is always relative to the explored range
 (rows up to N, band B).  The re-verification helper guards against
@@ -36,13 +47,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .family import FamilySpec, q_beta
 from .linalg import solve_linear
-from .poly import Poly, rat_str
+from .poly import Poly, clear_denominators, rat_str
 
-Window = Tuple[int, List[Fraction]]  # (lo, w): sum_i w_i L_{lo+i}
+Window = Tuple[int, List[int], int]  # (lo, w, den): sum_i (w_i / den) L_{lo+i}
+Rung = Tuple[Tuple[int, ...], Fraction]  # (b, scale): beta_{k,j} = b_j / scale
+Tops = Tuple[int, List[Tuple[int, int]]]  # (lo, [(e_k, den_k)]): c_k = e_k / den_k / beta_{k,0}
 
 
 @dataclass
@@ -55,81 +69,99 @@ class RecurrenceTable:
         return self.rows[n].get(j, Fraction(0))
 
 
-def _x_step(alpha: Fraction, lo: int, w: Sequence[Fraction]) -> Window:
-    """The window of x * sum_i w_i L_{lo+i}: one entry wider at each end, or
-    only at the top when lo = 0."""
+def _x_step(alpha: Fraction, lo: int, w: Sequence[int], den: int) -> Window:
+    """The window of x * sum_i (w_i / den) L_{lo+i}: one entry wider at each
+    end, or only at the top when lo = 0, over den times alpha's denominator."""
+    p, q = alpha.numerator, alpha.denominator
     out_lo = lo - 1 if lo else 0
-    xw = [Fraction(0)] * (lo + len(w) + 1 - out_lo)
+    xw = [0] * (lo + len(w) + 1 - out_lo)
     for t, wt in enumerate(w, lo):
         if wt:
             i = t - out_lo
-            xw[i + 1] -= (t + 1) * wt
-            xw[i] += (2 * t + 1 + alpha) * wt
+            xw[i + 1] -= q * (t + 1) * wt
+            xw[i] += (q * (2 * t + 1) + p) * wt
             if t:
-                xw[i - 1] -= (t + alpha) * wt
-    return out_lo, xw
+                xw[i - 1] -= (q * t + p) * wt
+    return out_lo, xw, den * q
 
 
-def _back_substitute(lo: int, w: Sequence[Fraction],
-                     betas: Sequence[Sequence[Fraction]],
-                     stop: int = 0) -> Tuple[Window, Window]:
-    """Peel the q_k off sum_i w_i L_{lo+i}, top down, for every k >= stop.
+def _back_substitute(lo: int, w: Sequence[int], den: int, betas: Sequence[Rung],
+                     stop: int = 0) -> Tuple[Tops, Window]:
+    """Peel the q_k off sum_i (w_i / den) L_{lo+i}, top down, for every k >= stop.
 
-    Returns the windows (c, r) with sum_i w_i L_{lo+i} = sum_k c_k q_k +
-    sum_t r_t L_t, r supported below stop.  A step at k writes only to
+    Returns (c, r): c = (lo_c, [(e_k, den_k)]), the top entry and den at
+    each index processed (see _coefficients), and r, the residual window
+    below stop with its content taken out.  A step at k writes only to
     k-1..k-m, so the loop also ends as soon as no index below k can be
-    nonzero; c covers exactly the indices processed, each of which needs
-    betas[k] = q_beta(spec, k).  w itself is left as it is.
+    nonzero; each index processed needs betas[k].  w is left as it is.
     """
     hi = lo + len(w)
     rest = list(reversed(w))  # rest[i] is the entry of L_{hi-1-i}; grows downward
-    c = []
+    dens = [den] * len(rest)  # the entry of L_{hi-1-i} is rest[i] / dens[i]
+    tops = []
     i = 0
     while i < len(rest) and hi - 1 - i >= stop:
-        ck = rest[i]
-        if ck:
-            row = betas[hi - 1 - i]
-            ck /= row[0]
-            for j in range(1, len(row)):
+        e = rest[i]
+        if e and dens[i] != den:
+            e *= den // dens[i]
+        tops.append((e, den))
+        if e:
+            b = betas[hi - 1 - i][0]
+            g = gcd(e, b[0])
+            den *= b[0] // g
+            e //= g
+            for j in range(1, len(b)):
                 if i + j < len(rest):
-                    rest[i + j] -= ck * row[j]
+                    rest[i + j] = rest[i + j] * (den // dens[i + j]) - e * b[j]
+                    dens[i + j] = den
                 else:
-                    rest.append(-ck * row[j])
-        c.append(ck)
+                    rest.append(-e * b[j])
+                    dens.append(den)
         i += 1
-    return (hi - i, c[::-1]), (hi - len(rest), rest[i:][::-1])
+    r = [v * (den // d) if v else 0 for v, d in zip(rest[i:], dens[i:])][::-1]
+    g = gcd(den, *r)
+    return (hi - i, tops[::-1]), (hi - len(rest), [v // g for v in r], den // g)
 
 
-def _expand(alpha: Fraction, Q: Poly, lo: int, v: Sequence[Fraction],
-            betas: Sequence[Sequence[Fraction]], stop: int = 0) -> Tuple[Window, Window]:
-    """_back_substitute of Q * sum_i v_i L_{lo+i}, built by Horner's rule on
-    windows (w <- x w + a v, from the top coefficient of Q down)."""
-    *low, top = Q.coeffs
-    wlo, w = lo, [top * vt for vt in v]
+def _coefficients(c: Tops, betas: Sequence[Rung]) -> Tuple[int, List[Fraction]]:
+    """The coefficient window (lo, [c_k]) of _back_substitute's tops."""
+    lo, tops = c
+    return lo, [Fraction(e * betas[k][1].numerator,
+                         den * betas[k][0][0] * betas[k][1].denominator)
+                for k, (e, den) in enumerate(tops, lo)]
+
+
+def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung],
+            stop: int = 0) -> Tuple[Tops, Window]:
+    """_back_substitute of Q times the window v, built by Horner's rule on
+    windows (w <- x w + a v, from the top coefficient of Q down) over
+    integer coefficients of Q."""
+    lo, vw, vden = v
+    qden, (*low, top) = clear_denominators(Q.coeffs)
+    wlo, w, den = lo, [top * vt for vt in vw], 1
     for a in reversed(low):
-        wlo, w = _x_step(alpha, wlo, w)
+        wlo, w, den = _x_step(alpha, wlo, w, den)
         if a:
-            for i, vt in enumerate(v, lo - wlo):
-                w[i] += a * vt
-    return _back_substitute(wlo, w, betas, stop)
+            for i, vt in enumerate(vw, lo - wlo):
+                w[i] += a * den * vt
+    return _back_substitute(wlo, w, den * qden * vden, betas, stop)
 
 
-def _extend_ladder(spec: FamilySpec, betas: List[Tuple[Fraction, ...]],
-                   top: int) -> List[Tuple[Fraction, ...]]:
-    """Append q_beta(spec, k) to betas for k = len(betas)..top, in order, so
+def _extend_ladder(spec: FamilySpec, betas: List[Rung], top: int) -> List[Rung]:
+    """Append q_beta(spec, k), as a primitive integer row b and the scale
+    with b = scale * beta, to betas for k = len(betas)..top, in order, so
     DegenerateFamily names the first k with Omega(k) = 0."""
-    betas.extend(q_beta(spec, k) for k in range(len(betas), top + 1))
+    for k in range(len(betas), top + 1):
+        den, ints = clear_denominators(q_beta(spec, k))
+        g = gcd(*ints)
+        betas.append((tuple(b // g for b in ints), Fraction(den, g)))
     return betas
 
 
-def _q_window(betas: Sequence[Sequence[Fraction]], n: int) -> Window:
+def _q_window(betas: Sequence[Rung], n: int) -> Window:
     """q_n's Laguerre window: beta_{n,j} on L_{n-j}."""
-    return n + 1 - len(betas[n]), list(reversed(betas[n]))
-
-
-def _gamma_row(n: int, c: Window) -> Dict[int, Fraction]:
-    lo, entries = c
-    return {k - n: g for k, g in enumerate(entries, lo) if g != 0}
+    b, scale = betas[n]
+    return n + 1 - len(b), [v * scale.denominator for v in reversed(b)], scale.numerator
 
 
 def expand_in_q(spec: FamilySpec, p: Poly) -> List[Fraction]:
@@ -137,26 +169,31 @@ def expand_in_q(spec: FamilySpec, p: Poly) -> List[Fraction]:
     if p.is_zero():
         return []
     betas = _extend_ladder(spec, [], p.degree)
-    (lo, c), _ = _expand(spec.alpha, p, 0, [Fraction(1)], betas)
+    lo, c = _coefficients(_expand(spec.alpha, p, (0, [1], 1), betas)[0], betas)
     return [Fraction(0)] * lo + c
 
 
 def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
     """gamma_{n,j} with Q q_n = sum_j gamma_{n,j} q_{n+j}, for n in n_range.
 
-    n_range is a range object or an int N meaning 0..N inclusive.
+    n_range is a nonempty range object or an int N >= 0 meaning 0..N
+    inclusive.
     """
     if Q.is_zero():
         raise ValueError("Q must be nonzero")
     if isinstance(n_range, int):
         n_range = range(0, n_range + 1)
+    if not n_range:
+        raise ValueError(f"empty row range {n_range}: needs at least one row")
     betas = _extend_ladder(spec, [], max(n_range) + Q.degree)
-    rows = {n: _gamma_row(n, _expand(spec.alpha, Q, *_q_window(betas, n), betas)[0])
-            for n in n_range}
+    rows = {}
+    for n in n_range:
+        lo, c = _coefficients(_expand(spec.alpha, Q, _q_window(betas, n), betas)[0], betas)
+        rows[n] = {k - n: g for k, g in enumerate(c, lo) if g}
     return RecurrenceTable(Q=Q, n_range=n_range, rows=rows)
 
 
-def _monomial_residuals(spec: FamilySpec, betas: List[Tuple[Fraction, ...]],
+def _monomial_residuals(spec: FamilySpec, betas: List[Rung],
                         n_range: range, band: int) -> Iterator[Dict[int, Window]]:
     """Yield, for k = 0, 1, 2, ..., the residual windows below n - band of
     x^k q_n, keyed by the n in n_range with n > band (no lower row exists).
@@ -286,10 +323,11 @@ class AlgebraProbeResult:
     band: int
     n_max: int
     basis: List[Poly]
-    # the beta ladder q_beta(spec, k) for k <= n_max + degree_cap, and
-    # residuals[k][n] for k <= degree_cap and band < n <= n_max: the
-    # Laguerre window of x^k q_n left below n - band by the back-substitution
-    betas: List[Tuple[Fraction, ...]] = field(repr=False)
+    # the integer beta ladder (b_k, scale_k), beta_{k,j} = b_{k,j} / scale_k,
+    # for k <= n_max + degree_cap, and residuals[k][n] for k <= degree_cap
+    # and band < n <= n_max: the integer window (lo, w, den) of x^k q_n left
+    # below n - band by the back-substitution, content taken out
+    betas: List[Rung] = field(repr=False)
     residuals: List[Dict[int, Window]] = field(repr=False)
 
     @property
@@ -316,13 +354,14 @@ def algebra_probe(spec: FamilySpec, d: int, band: Optional[int] = None,
         raise ValueError("degree cap must be >= 0")
     B = d if band is None else band
     N = (2 * d + spec.max_g + 10) if n_max is None else n_max
-    betas: List[Tuple[Fraction, ...]] = []
+    betas: List[Rung] = []
     residuals = list(islice(_monomial_residuals(spec, betas, range(N + 1), B), d + 1))
     rows = []
     for n in residuals[0]:
         windows = [res[n] for res in residuals]
-        for t in range(min(lo for lo, _ in windows), n - B):
-            rows.append([r[t - lo] if t >= lo else Fraction(0) for lo, r in windows])
+        L = lcm(*(den for _, _, den in windows))
+        for t in range(min(lo for lo, _, _ in windows), n - B):
+            rows.append([r[t - lo] * (L // den) if t >= lo else 0 for lo, r, den in windows])
     if not rows:
         basis = [Poly.monomial(k) for k in range(d + 1)]
     else:
@@ -350,11 +389,13 @@ def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10
     for Q in result.basis:
         while len(residuals) <= Q.degree:
             residuals.append({**result.residuals[len(residuals)], **next(more)})
-        terms = [(k, a) for k, a in enumerate(Q.coeffs) if a]
+        terms = [(k, a) for k, a in enumerate(clear_denominators(Q.coeffs)[1]) if a]
         for n in residuals[0]:
-            below: Dict[int, Fraction] = {}
+            L = lcm(*(residuals[k][n][2] for k, _ in terms))
+            below: Dict[int, int] = {}
             for k, a in terms:
-                lo, r = residuals[k][n]
+                lo, r, den = residuals[k][n]
+                a *= L // den
                 for t, v in enumerate(r, lo):
                     below[t] = below.get(t, 0) + a * v
             if any(below.values()):

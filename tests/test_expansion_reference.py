@@ -10,8 +10,15 @@ checks the β-row back-substitution and the three-term x action.
 table of each basis element on the longer range.  reverify_probe instead
 extends the probe's own monomial residuals below the band and checks the
 basis on them by linearity.
+
+`reference_x_step` and `reference_back_substitute` are the engine's two
+steps as they were on `Fraction` windows (lo, w), dividing by beta_{k,0} at
+every step.  The engine now runs them fraction-free on integer windows
+(lo, w, den) over a primitive integer beta ladder; both must give the same
+rationals.
 """
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +26,10 @@ from hypothesis import given, settings, strategies as st
 from casolag import (FamilySpec, Poly, algebra_probe, degenerate_preset,
                      expand_in_q, krall_preset, parse_poly, q_poly,
                      recurrence_table, reverify_probe, solve_linear)
-from casolag.recurrence import _back_substitute, _first_outside
+from casolag.family import q_beta
+from casolag.poly import clear_denominators
+from casolag.recurrence import (_back_substitute, _coefficients, _extend_ladder,
+                                _first_outside, _x_step)
 
 # the five golden families (tests/test_golden.py)
 FAMILIES = {
@@ -42,6 +52,49 @@ def q_ladder(name, top):
     while len(qs) <= top:
         qs.append(q_poly(FAMILIES[name], len(qs)))
     return qs
+
+
+def reference_x_step(alpha, lo, w):
+    """The window of x * sum_i w_i L_{lo+i}: one entry wider at each end, or
+    only at the top when lo = 0."""
+    out_lo = lo - 1 if lo else 0
+    xw = [F(0)] * (lo + len(w) + 1 - out_lo)
+    for t, wt in enumerate(w, lo):
+        if wt:
+            i = t - out_lo
+            xw[i + 1] -= (t + 1) * wt
+            xw[i] += (2 * t + 1 + alpha) * wt
+            if t:
+                xw[i - 1] -= (t + alpha) * wt
+    return out_lo, xw
+
+
+def reference_back_substitute(lo, w, betas, stop=0):
+    """Peel the q_k off sum_i w_i L_{lo+i}, top down, for every k >= stop,
+    through the Fraction rows betas[k] = q_beta(spec, k): the coefficient
+    window and the residual window below stop."""
+    hi = lo + len(w)
+    rest = list(reversed(w))
+    c = []
+    i = 0
+    while i < len(rest) and hi - 1 - i >= stop:
+        ck = rest[i]
+        if ck:
+            row = betas[hi - 1 - i]
+            ck /= row[0]
+            for j in range(1, len(row)):
+                if i + j < len(rest):
+                    rest[i + j] -= ck * row[j]
+                else:
+                    rest.append(-ck * row[j])
+        c.append(ck)
+        i += 1
+    return (hi - i, c[::-1]), (hi - len(rest), rest[i:][::-1])
+
+
+def as_fractions(window):
+    lo, w, den = window
+    return lo, [F(v, den) for v in w]
 
 
 def reference_expand(p, qs):
@@ -135,7 +188,8 @@ def test_reverify_matches_reference(name, d, data):
             if n not in res.residuals[k]:
                 assert below == {}
                 continue
-            (lo, c), _ = _back_substitute(*res.residuals[k][n], res.betas)
+            lo, c = _coefficients(_back_substitute(*res.residuals[k][n], res.betas)[0],
+                                  res.betas)
             assert {t - n: g for t, g in enumerate(c, lo) if g != 0} == below
     assert reverify_probe(spec, res, extra) == reference_reverify(spec, res, extra)
 
@@ -145,3 +199,53 @@ def test_truncated_probe_fails_reverification():
     res = algebra_probe(spec, 4, n_max=5)
     assert reference_reverify(spec, res) is False
     assert reverify_probe(spec, res) is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["nonsegment", "segment", "krall"]), st.integers(0, 6),
+       st.lists(small_rats, min_size=1, max_size=8), st.data())
+def test_integer_engine_matches_fraction_reference(name, lo, w, data):
+    # nonsegment has alpha = 7, segment alpha = 22/7; krall's seeds have
+    # rational coefficients, so its beta rows need a common denominator
+    spec = FAMILIES[name]
+    den, ints = clear_denominators(w)
+    xlo, xw = reference_x_step(spec.alpha, lo, w)
+    assert as_fractions(_x_step(spec.alpha, lo, ints, den)) == (xlo, xw)
+    stop = data.draw(st.integers(0, xlo + len(xw)), label="stop")
+    rungs = _extend_ladder(spec, [], xlo + len(xw) - 1)
+    rows = [q_beta(spec, k) for k in range(len(rungs))]
+    c, r = _back_substitute(*_x_step(spec.alpha, lo, ints, den), rungs, stop)
+    ref_c, ref_r = reference_back_substitute(xlo, xw, rows, stop)
+    assert _coefficients(c, rungs) == ref_c
+    assert as_fractions(r) == ref_r
+    # the residual's content is taken out
+    assert math.gcd(r[2], *r[1]) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["nonsegment", "segment", "krall"]), st.integers(0, 8),
+       st.lists(small_rats, min_size=1, max_size=3),
+       st.lists(small_rats, min_size=0, max_size=4), st.data())
+def test_integer_engine_peels_exact_combinations(name, top, cs, tail, data):
+    # sum_i cs[i] q_{top-i} over a tail far enough below: peeling leaves
+    # zeros above the tail, so the steps there write nothing and the tail's
+    # entries must still be brought to the denominator of the last step
+    spec = FAMILIES[name]
+    top += len(cs) - 1
+    rows = [q_beta(spec, k) for k in range(top + 1)]
+    w = {}
+    for i, c in enumerate(cs):
+        for j, b in enumerate(rows[top - i]):
+            w[top - i - j] = w.get(top - i - j, 0) + c * b
+    for t, v in enumerate(reversed(tail), min(w) - spec.m - 1 - len(tail)):
+        if t >= 0:
+            w[t] = v
+    lo = min(w)
+    window = [w.get(t, F(0)) for t in range(lo, top + 1)]
+    stop = data.draw(st.integers(0, top + 1), label="stop")
+    den, ints = clear_denominators(window)
+    rungs = _extend_ladder(spec, [], top)
+    c, r = _back_substitute(lo, ints, den, rungs, stop)
+    ref_c, ref_r = reference_back_substitute(lo, window, rows, stop)
+    assert _coefficients(c, rungs) == ref_c
+    assert as_fractions(r) == ref_r

@@ -191,6 +191,18 @@ def test_obstruction_inconclusive_for_x4(nonsegment_spec):
     assert res.witness is None
 
 
+@pytest.mark.parametrize("call, empty", [
+    (lambda spec: recurrence_table(spec, Poly.x(), -1), "range(0, 0)"),
+    (lambda spec: recurrence_table(spec, Poly.x(), range(0)), "range(0, 0)"),
+    (lambda spec: recurrence_table(spec, Poly.x(), range(5, 3)), "range(5, 3)"),
+    (lambda spec: three_term_test(spec, -1), "range(0, 0)"),
+])
+def test_empty_row_range_is_named(call, empty, nonsegment_spec):
+    with pytest.raises(ValueError) as e:
+        call(nonsegment_spec)
+    assert str(e.value) == f"empty row range {empty}: needs at least one row"
+
+
 def test_obstruction_guard_inside_integer_range(integer_alpha_spec):
     with pytest.raises(ValueError):
         obstruction_test(integer_alpha_spec, Poly.x())
