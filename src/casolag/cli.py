@@ -50,6 +50,8 @@ def _load_family(path: str) -> FamilySpec:
         raise CliError(f"cannot read config: {e}", "config") from e
     except json.JSONDecodeError as e:
         raise CliError(f"config is not valid JSON: {e}", "config") from e
+    except UnicodeDecodeError as e:
+        raise CliError(f"config is not valid UTF-8: {e}", "config") from e
     try:
         return spec_from_json_dict(obj)
     except (ValueError, InvalidPreset, ParseError) as e:

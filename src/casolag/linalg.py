@@ -1,21 +1,25 @@
-"""Exact linear algebra over Fraction: Gauss-Jordan, nullspaces, determinants
-(fraction-free, on integers).
+"""Exact linear algebra: one fraction-free elimination behind every solve,
+nullspace and determinant.
 
-Everything here is deterministic.  Pivoting always takes the first row with a
-nonzero entry in the current column (no magnitude heuristics: over Fraction
-any nonzero pivot is exact), so reduced row echelon form, and with it every
+Rows are scaled to integers by the lcm of their denominators and run through
+Bareiss's forward pass: after k pivots every entry below the pivot rows is a
+minor of the input, so each division by the previous pivot is exact.
+Pivoting takes the first row with a nonzero entry in the column and skips a
+column with none, so the reduced row echelon form, and with it every
 particular solution and nullspace basis, is a canonical function of the
-input.  The probing code upstream relies on that canonicity to compare bases
-across runs.
+input; the probing code upstream relies on that to compare bases across
+runs.  A solve back-substitutes over the pivot rows only, in integers scaled
+by the last pivot (each such entry is a minor too, by Cramer's rule), and
+builds Fractions only for the values it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .poly import as_rat, clear_denominators
+from .poly import clear_denominators
 
 
 class InconsistentSystem(Exception):
@@ -44,100 +48,76 @@ class LinearSolution:
         return self.particular is not None and not self.nullspace
 
 
-def _rref(rows: List[List[Fraction]], ncols: int):
-    """In-place reduced row echelon form; returns pivot column list."""
-    pivots = []
-    r = 0
+def _eliminate(rows: List[List[int]], ncols: int) -> Tuple[List[int], int, int]:
+    """Bareiss forward pass over integer rows, in place, pivoting in columns
+    0..ncols-1: returns (pivot columns, sign of the row swaps, last pivot).
+    Rows from len(pivots) on end zero in those columns."""
+    pivots, sign, prev = [], 1, 1
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top, piv = rows[r], rows[r][c]
+        for i in range(r + 1, len(rows)):
+            row, f = rows[i], rows[i][c]
+            rows[i] = [0] * (c + 1) + [(piv * row[j] - f * top[j]) // prev
+                                       for j in range(c + 1, len(row))]
+        prev = piv
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+    return pivots, sign, prev
 
 
 def solve_linear(A: Sequence[Sequence], b: Optional[Sequence] = None) -> LinearSolution:
     """Solve A*x = b exactly (b=None solves the homogeneous system).
 
-    Raises InconsistentSystem when no solution exists.  The nullspace basis
-    is the canonical RREF basis, one vector per free column in column order.
+    Raises InconsistentSystem when no solution exists, naming the first
+    reduced row that reads 0 = nonzero.  The nullspace basis is the
+    canonical RREF basis, one vector per free column in column order.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    homogeneous = b is None
-    rows = []
-    for i in range(m):
-        row = [as_rat(v) for v in A[i]]
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-        row.append(Fraction(0) if homogeneous else as_rat(b[i]))
-        rows.append(row)
-
-    pivots = _rref(rows, n)
-
-    for i in range(len(rows)):
-        if all(v == 0 for v in rows[i][:n]) and rows[i][n] != 0:
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged matrix")
+    rows = [clear_denominators([*A[i], 0 if b is None else b[i]])[1] for i in range(m)]
+    pivots, _, d = _eliminate(rows, n)
+    for i in range(len(pivots), m):
+        if rows[i][n]:
             raise InconsistentSystem(i)
 
-    particular = None
-    if not homogeneous:
-        particular = [Fraction(0)] * n
-        for r, c in enumerate(pivots):
-            particular[c] = rows[r][n]
-
-    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivots]
+    # reduced[r][k]: d times pivot row r's reduced entry in column (free + [n])[k]
+    reduced: List[List[int]] = []
+    for r in reversed(range(len(pivots))):
+        row = rows[r]
+        below = list(zip(pivots[r + 1:], reduced))
+        reduced.insert(0, [(d * row[j] - sum(row[c] * y[k] for c, y in below)) // row[pivots[r]]
+                           for k, j in enumerate(free + [n])])
+    particular = None if b is None else [Fraction(0)] * n
     nullspace = []
-    for c in range(n):
-        if c in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][c]
-        nullspace.append(vec)
-
+    for k, c in enumerate(free):
+        nullspace.append([Fraction(0)] * n)
+        nullspace[k][c] = Fraction(1)
+    for c, y in zip(pivots, reduced):
+        for vec, v in zip(nullspace, y):
+            vec[c] = Fraction(-v, d)
+        if particular is not None:
+            particular[c] = Fraction(y[-1], d)
     return LinearSolution(particular=particular, nullspace=nullspace,
-                          pivot_columns=list(pivots))
+                          pivot_columns=pivots)
 
 
 def det_int(M: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every intermediate entry is a minor of M, so each division
-    by the previous pivot is exact and the numbers never outgrow the
-    minors."""
+    """Determinant of a square integer matrix: the sign and last pivot of
+    the fraction-free forward pass, or 0 when a column has no pivot."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant needs a square matrix")
-    rows = [list(row) for row in M]
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        top, piv = rows[c], rows[c][c]
-        for i in range(c + 1, n):
-            row, f = rows[i], rows[i][c]
-            rows[i] = [0] * (c + 1) + [(piv * row[j] - f * top[j]) // prev
-                                       for j in range(c + 1, n)]
-        prev = piv
-    return sign * rows[-1][-1] if n else 1
+    pivots, sign, last = _eliminate([list(row) for row in M], n)
+    return sign * last if len(pivots) == n else 0
 
 
 def det_rat(M: Sequence[Sequence]) -> Fraction:

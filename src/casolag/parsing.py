@@ -11,6 +11,8 @@ Grammar (precedence climbing, lowest first):
 '/' is not a general operator: it only forms rational literals, so '7/2*x'
 means (7/2)*x and 'x/2' is rejected.  Exponents must be literal nonnegative
 integers.  The output of poly.render is always accepted and round-trips.
+Parentheses and unary signs recurse, so nesting them more than MAX_DEPTH
+levels deep is a ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([x+\-*/^()]))")
 
 _END = ("end", "", -1)
+
+MAX_DEPTH = 100  # six stack frames a level: 600 stay below the default limit of 1000
 
 
 def _tokenize(text: str):
@@ -63,6 +67,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -77,6 +82,15 @@ class _Parser:
         if kind == "end":
             pos = len(self.text)
         raise ParseError(message, pos, expected)
+
+    def nested(self, parse, pos: int) -> Poly:
+        """parse() one level deeper, for the opener at pos."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def parse(self) -> Poly:
         result = self.expr()
@@ -97,10 +111,10 @@ class _Parser:
                 return left
 
     def unary(self) -> Poly:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value in "+-":
             self.advance()
-            inner = self.unary()
+            inner = self.nested(self.unary, pos)
             return inner if value == "+" else -inner
         return self.factor()
 
@@ -128,7 +142,7 @@ class _Parser:
         return base
 
     def atom(self) -> Poly:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
             num = int(value)
@@ -150,7 +164,7 @@ class _Parser:
             return Poly.x()
         if kind == "op" and value == "(":
             self.advance()
-            inner = self.expr()
+            inner = self.nested(self.expr, pos)
             kind, value, _ = self.peek()
             if not (kind == "op" and value == ")"):
                 self.error("unclosed parenthesis", expected=(")",))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Rat = Fraction
 
@@ -320,8 +320,11 @@ def _sign_changes(chain, x: int) -> int:
     return sum(u != w for u, w in zip(signs, signs[1:]))
 
 
-def clear_denominators(values: Iterable) -> Tuple[int, List[int]]:
-    """(L, [L*v for v in values]) with L the lcm of the denominators."""
+def clear_denominators(values: Sequence) -> Tuple[int, List[int]]:
+    """(L, [L*v for v in values]) with L the lcm of the denominators; values
+    that are all ints come back as they are, with no Fraction built."""
+    if all(type(v) is int for v in values):
+        return 1, list(values)
     values = [as_rat(v) for v in values]
     lcm = math.lcm(*(v.denominator for v in values))
     return lcm, [v.numerator * (lcm // v.denominator) for v in values]

@@ -21,7 +21,7 @@ below the stopping index has its content taken out once, at the end; c_k
 = e scale_k / (den b_{k,0}) becomes a Fraction only for callers that need
 gamma.  A table of one Q applies Q by Horner on windows and
 back-substitutes each row to index 0, ending early once nothing nonzero is
-left below.
+left below.  No public result carries a window or the ladder.
 
 A subset of polynomials Q produce BANDED tables (gamma_{n,j} = 0 below a
 fixed shift -s with nonzero extremes); those Q form an algebra, probed here
@@ -131,8 +131,7 @@ def _coefficients(c: Tops, betas: Sequence[Rung]) -> Tuple[int, List[Fraction]]:
                 for k, (e, den) in enumerate(tops, lo)]
 
 
-def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung],
-            stop: int = 0) -> Tuple[Tops, Window]:
+def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung]) -> Tuple[Tops, Window]:
     """_back_substitute of Q times the window v, built by Horner's rule on
     windows (w <- x w + a v, from the top coefficient of Q down) over
     integer coefficients of Q."""
@@ -144,7 +143,7 @@ def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung],
         if a:
             for i, vt in enumerate(vw, lo - wlo):
                 w[i] += a * den * vt
-    return _back_substitute(wlo, w, den * qden * vden, betas, stop)
+    return _back_substitute(wlo, w, den * qden * vden, betas)
 
 
 def _extend_ladder(spec: FamilySpec, betas: List[Rung], top: int) -> List[Rung]:
@@ -323,12 +322,11 @@ class AlgebraProbeResult:
     band: int
     n_max: int
     basis: List[Poly]
-    # the integer beta ladder (b_k, scale_k), beta_{k,j} = b_{k,j} / scale_k,
-    # for k <= n_max + degree_cap, and residuals[k][n] for k <= degree_cap
-    # and band < n <= n_max: the integer window (lo, w, den) of x^k q_n left
-    # below n - band by the back-substitution, content taken out
-    betas: List[Rung] = field(repr=False)
-    residuals: List[Dict[int, Window]] = field(repr=False)
+    # the engine's beta ladder for k <= n_max + degree_cap, and _residuals[k][n]
+    # for k <= degree_cap and band < n <= n_max: the window of x^k q_n left
+    # below n - band, which reverify_probe extends instead of recomputing
+    _betas: List[Rung] = field(repr=False, compare=False)
+    _residuals: List[Dict[int, Window]] = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -365,10 +363,9 @@ def algebra_probe(spec: FamilySpec, d: int, band: Optional[int] = None,
     if not rows:
         basis = [Poly.monomial(k) for k in range(d + 1)]
     else:
-        sol = solve_linear(rows, None)
-        basis = [Poly(vec) for vec in sol.nullspace]
+        basis = [Poly(vec) for vec in solve_linear(rows, None).nullspace]
     return AlgebraProbeResult(degree_cap=d, band=B, n_max=N, basis=basis,
-                              betas=betas, residuals=residuals)
+                              _betas=betas, _residuals=residuals)
 
 
 def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10) -> bool:
@@ -383,12 +380,12 @@ def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10
     ladder reaches n_max + extra + deg Q and no further.
     """
     N = result.n_max + extra
-    more = _monomial_residuals(spec, list(result.betas), range(result.n_max + 1, N + 1),
+    more = _monomial_residuals(spec, list(result._betas), range(result.n_max + 1, N + 1),
                                result.band)
     residuals: List[Dict[int, Window]] = []  # residuals[k][n] of x^k q_n
     for Q in result.basis:
         while len(residuals) <= Q.degree:
-            residuals.append({**result.residuals[len(residuals)], **next(more)})
+            residuals.append({**result._residuals[len(residuals)], **next(more)})
         terms = [(k, a) for k, a in enumerate(clear_denominators(Q.coeffs)[1]) if a]
         for n in residuals[0]:
             L = lcm(*(residuals[k][n][2] for k, _ in terms))

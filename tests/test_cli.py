@@ -260,6 +260,39 @@ def test_malformed_config(cfg, capsys, tmp_path):
     assert json.loads(err)["error"]["kind"] == "config"
 
 
+def test_config_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"alpha": 7, "G": [1], "R": {"1": "x-1\xff"}}')
+    code, out, err = run(capsys, "check", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config" and "UTF-8" in error["message"]
+
+
+# far deeper than the recursion limit: parentheses and unary signs
+DEEP = ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"]
+
+
+@pytest.mark.parametrize("text", DEEP, ids=["parens", "signs"])
+def test_deep_nesting_in_config(cfg, capsys, text):
+    code, out, err = run(capsys, "check", "--config",
+                         cfg({"alpha": 7, "G": [1], "R": {"1": text}}))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config" and "nesting deeper" in error["message"]
+
+
+@pytest.mark.parametrize("text", DEEP, ids=["parens", "signs"])
+def test_deep_nesting_in_q_flag(cfg, capsys, text):
+    code, out, err = run(capsys, "recur", "--config", cfg(REMARK), f"--Q={text}")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage" and error["message"].startswith("bad --Q: nesting deeper")
+
+
 def test_bad_polynomial_in_config(cfg, capsys):
     bad = {"alpha": 7, "G": [1], "R": {"1": "x/2"}}
     code, _, err = run(capsys, "check", "--config", cfg(bad))

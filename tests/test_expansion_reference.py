@@ -4,7 +4,9 @@
 as dense power-basis polynomials and peel off the top coefficient of the
 residual, degree by degree.  It shares nothing with the engine but q_poly,
 so exact agreement on recurrence rows, on expand_in_q and on probe bases
-checks the β-row back-substitution and the three-term x action.
+checks the β-row back-substitution and the three-term x action.  Its probe
+basis comes from test_linalg's reference_solve, the Gauss-Jordan elimination
+over Fraction, so it shares no elimination code with the probe either.
 
 `reference_reverify` is the re-verification the probe used to run: a fresh
 table of each basis element on the longer range.  reverify_probe instead
@@ -25,11 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 from casolag import (FamilySpec, Poly, algebra_probe, degenerate_preset,
                      expand_in_q, krall_preset, parse_poly, q_poly,
-                     recurrence_table, reverify_probe, solve_linear)
+                     recurrence_table, reverify_probe)
 from casolag.family import q_beta
 from casolag.poly import clear_denominators
 from casolag.recurrence import (_back_substitute, _coefficients, _extend_ladder,
                                 _first_outside, _x_step)
+
+from test_linalg import reference_solve
 
 # the five golden families (tests/test_golden.py)
 FAMILIES = {
@@ -129,7 +133,7 @@ def reference_probe(name, d, band, n_max):
             for n in range(N + 1) for j in range(-n, -B)]
     if not rows:
         return [Poly.monomial(k) for k in range(d + 1)]
-    return [Poly(vec) for vec in solve_linear(rows, None).nullspace]
+    return [Poly(vec) for vec in reference_solve(rows, None).nullspace]
 
 
 def reference_reverify(spec, res, extra=10):
@@ -185,11 +189,11 @@ def test_reverify_matches_reference(name, d, data):
         table = recurrence_table(spec, Poly.monomial(k), res.n_max)
         for n, row in table.rows.items():
             below = {j: g for j, g in row.items() if j < -res.band}
-            if n not in res.residuals[k]:
+            if n not in res._residuals[k]:
                 assert below == {}
                 continue
-            lo, c = _coefficients(_back_substitute(*res.residuals[k][n], res.betas)[0],
-                                  res.betas)
+            lo, c = _coefficients(_back_substitute(*res._residuals[k][n], res._betas)[0],
+                                  res._betas)
             assert {t - n: g for t, g in enumerate(c, lo) if g != 0} == below
     assert reverify_probe(spec, res, extra) == reference_reverify(spec, res, extra)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from casolag import ParseError, Poly, parse_poly, render
+from casolag.parsing import MAX_DEPTH
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -52,6 +53,27 @@ def test_error_position_and_expected():
     assert ei.value.position == 3
     assert ei.value.expected == ("integer",)
     assert "exponent" in str(ei.value)
+
+
+def test_nesting_up_to_max_depth_parses():
+    d = MAX_DEPTH
+    assert parse_poly("(" * d + "x" + ")" * d) == Poly.x()
+    assert parse_poly("-" * d + "x") == Poly.x()
+    assert parse_poly("-(" * (d // 2) + "x" + ")" * (d // 2)) == Poly.x()
+
+
+@pytest.mark.parametrize("text", [
+    "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+    "-" * (MAX_DEPTH + 1) + "x",
+    "(" * 5000 + "x" + ")" * 5000,
+    "-" * 5000 + "x",
+    "+(" * 3000 + "x" + ")" * 3000,
+], ids=["parens", "signs", "parens-5000", "signs-5000", "mixed-6000"])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError) as ei:
+        parse_poly(text)
+    assert ei.value.position == MAX_DEPTH
+    assert "nesting deeper" in str(ei.value)
 
 
 def test_error_mentions_offset():
