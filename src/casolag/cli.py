@@ -19,16 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Optional, Sequence
 
 from .family import (AdmissibilityCertificate, DegenerateFamily, FamilySpec,
                      InvalidPreset, certify_admissible, q_poly,
                      spec_from_json_dict)
 from .forms import BilinearForm, VariantError, ortho_check
 from .parsing import ParseError, parse_poly
-from .poly import Poly, rat_str, render
+from .poly import Poly, rat_str, record, render
 from .recurrence import (algebra_probe, recurrence_table, reverify_probe,
                          three_term_test, verify_band)
 
@@ -61,7 +60,7 @@ def _load_family(path: str) -> FamilySpec:
 # -- reports ----------------------------------------------------------
 
 
-@dataclass
+@record
 class Table:
     """Rows of typed cells (int, bool, None, str, Fraction, Poly).  names
     are the CSV header and the JSON row keys, heads the LaTeX column heads
@@ -69,16 +68,16 @@ class Table:
     heading or trailing comment."""
 
     names: Sequence[str]
-    rows: List[tuple]
-    title: Optional[str] = None
-    colspec: Optional[str] = None
-    heads: Optional[Sequence[str]] = None
-    note: Optional[str] = None
+    rows: list[tuple]
+    title: str | None = None
+    colspec: str | None = None
+    heads: Sequence[str] | None = None
+    note: str | None = None
 
     def json_row(self, row: tuple) -> dict:
         return {name: _json_cell(v) for name, v in zip(self.names, row)}
 
-    def json_rows(self) -> List[dict]:
+    def json_rows(self) -> list[dict]:
         return [self.json_row(row) for row in self.rows]
 
 
@@ -113,7 +112,7 @@ def _to_latex(table: Table) -> str:
 
 
 def _emit(args: argparse.Namespace, payload: dict, table: Table,
-          latex: Optional[Table] = None) -> None:
+          latex: Table | None = None) -> None:
     """Write payload as JSON, or table as CSV or LaTeX; latex, when given,
     is the table the LaTeX document shows instead."""
     if args.fmt == "json":

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from .laguerre import laguerre
 from .linalg import det_int, solve_linear, InconsistentSystem
 from .parsing import parse_poly
-from .poly import Poly, as_rat, clear_denominators, integer_roots, rat_str, render
+from .poly import (Poly, as_rat, clear_denominators, integer_roots, rat_str, record,
+                   render)
 from .special import binom_poly, poch
 
 
@@ -43,11 +43,11 @@ class InvalidPreset(ValueError):
     """Preset parameters outside their validity range."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilySpec:
     alpha: Fraction
-    G: Tuple[int, ...]
-    R: Dict[int, Poly]
+    G: tuple[int, ...]
+    R: dict[int, Poly]
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_rat(self.alpha))
@@ -75,7 +75,7 @@ class FamilySpec:
     def max_g(self) -> int:
         return self.G[-1]
 
-    def seeds(self) -> List[Poly]:
+    def seeds(self) -> list[Poly]:
         return [self.R[g] for g in self.G]
 
     def to_json_dict(self) -> dict:
@@ -86,18 +86,18 @@ class FamilySpec:
         }
 
 
-@dataclass
+@record
 class BetaRow:
     n: int
-    values: Tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
 
 
-@dataclass
+@record
 class AdmissibilityCertificate:
     omega: Poly
     integer_scan_bound: int
     verdict: str  # "pass" | "fail"
-    fail_n: Optional[int] = None
+    fail_n: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -161,7 +161,7 @@ def beta(spec: FamilySpec, n: int) -> BetaRow:
         for j in range(m + 1)))
 
 
-def q_beta(spec: FamilySpec, n: int) -> Tuple[Fraction, ...]:
+def q_beta(spec: FamilySpec, n: int) -> tuple[Fraction, ...]:
     """beta_{n,0..min(m,n)}: q_n's coefficients on L_n, ..., L_{n-min(m,n)}.
 
     Raises DegenerateFamily when Omega(n) = 0, because then beta_{n,0} = 0
@@ -188,7 +188,7 @@ def reduce_representation(spec: FamilySpec) -> FamilySpec:
     every beta row) unchanged; this picks the canonical representative of
     that orbit by triangular elimination.
     """
-    reduced: Dict[int, Poly] = {}
+    reduced: dict[int, Poly] = {}
     for g in spec.G:
         p = spec.R[g]
         for h in reversed([h for h in spec.G if h < g]):
@@ -251,7 +251,7 @@ def _preset_seed(alpha: int, h: int, a: Sequence[Fraction], l_top: int) -> Poly:
     return p + math.factorial(h - 1) * corr
 
 
-def match_krall_parameters(spec: FamilySpec) -> Optional[List[Fraction]]:
+def match_krall_parameters(spec: FamilySpec) -> list[Fraction] | None:
     """Decide whether the family coincides with a preset family.
 
     Families are identified up to the two symmetries that leave the q_n
@@ -282,8 +282,8 @@ def match_krall_parameters(spec: FamilySpec) -> Optional[List[Fraction]]:
     n_eta = len(eta_index)
     n_unknown = n_eta + m
 
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
     for h in range(1, m + 1):
         g = alpha + h - 1
         l_top = h - 1 if krall else h + alpha - m - 1

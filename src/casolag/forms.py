@@ -48,13 +48,12 @@ a canonical function of the family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
 
 from .family import DegenerateFamily, FamilySpec, q_poly
 from .linalg import InconsistentSystem, solve_linear
-from .poly import LaurentPoly, Poly, as_rat
+from .poly import LaurentPoly, Poly, as_rat, record
 from .special import binom_rat, poch, to_binomial_basis
 
 
@@ -62,15 +61,15 @@ class VariantError(Exception):
     """Form evaluated outside its variant's validity range."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KappaMatrix:
-    rows: Tuple[Tuple[Fraction, ...], ...]  # rows[i][l] pairs with G[l]
+    rows: tuple[tuple[Fraction, ...], ...]  # rows[i][l] pairs with G[l]
 
-    def row(self, i: int) -> Tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Fraction, ...]:
         return self.rows[i]
 
 
-def kappa_solve(spec: FamilySpec, i: int) -> List[Fraction]:
+def kappa_solve(spec: FamilySpec, i: int) -> list[Fraction]:
     """Row i of the kappa matrix.
 
     Solves sum_g kappa^g R_g(-j) = 0 for j = 1..m-1-i together with the
@@ -100,13 +99,13 @@ def kappa_matrix(spec: FamilySpec) -> KappaMatrix:
     return KappaMatrix(tuple(tuple(kappa_solve(spec, i)) for i in range(spec.m)))
 
 
-def _seed_ws(spec: FamilySpec) -> List[List[Fraction]]:
+def _seed_ws(spec: FamilySpec) -> list[list[Fraction]]:
     """w^g, the binomial-basis coefficients of each seed R_g, in G order."""
     return [to_binomial_basis(spec.R[g]) for g in spec.G]
 
 
 def _seed_weights(spec: FamilySpec, ws: Sequence[Sequence[Fraction]],
-                  kappa_row: Sequence) -> List[Fraction]:
+                  kappa_row: Sequence) -> list[Fraction]:
     """W[l] = sum_{g >= l} kappa^g w_l^g for l = 0..maxG, with ws = _seed_ws(spec)."""
     W = [Fraction(0)] * (spec.max_g + 1)
     for kap, w in zip(kappa_row, ws):
@@ -126,7 +125,7 @@ def _correction(spec: FamilySpec, W: Sequence[Fraction], i: int, d: int,
         + [(-l - 1, poch(spec.alpha - l, l) * W[l]) for l in range(l_lo, spec.max_g + 1)])
 
 
-def _row_weights(spec: FamilySpec, kappa_row: Sequence) -> List[Fraction]:
+def _row_weights(spec: FamilySpec, kappa_row: Sequence) -> list[Fraction]:
     return _seed_weights(spec, _seed_ws(spec), kappa_row)
 
 
@@ -178,7 +177,7 @@ class BilinearForm:
     pairing does not need.
     """
 
-    def __init__(self, spec: FamilySpec, kappa: Optional[KappaMatrix], variant: str):
+    def __init__(self, spec: FamilySpec, kappa: KappaMatrix | None, variant: str):
         if variant not in ("generic", "xi"):
             raise ValueError(f"unknown variant {variant!r}")
         if variant == "generic":
@@ -195,19 +194,19 @@ class BilinearForm:
         self._weights = [_seed_weights(spec, ws, self.kappa.row(b)) for b in range(spec.m)]
         # (alpha-l)_a for l = 0..maxG, one tuple per a = 0, 1, ...
         self._pochs = [(Fraction(1),) * (spec.max_g + 1)]
-        self._columns: List[List[Fraction]] = [[] for _ in range(spec.m)]
-        self._row_key: Optional[Tuple[Fraction, ...]] = None  # p.coeffs of the row
-        self._row: List[Fraction] = []
+        self._columns: list[list[Fraction]] = [[] for _ in range(spec.m)]
+        self._row_key: tuple[Fraction, ...] | None = None  # p.coeffs of the row
+        self._row: list[Fraction] = []
 
     @classmethod
-    def generic(cls, spec: FamilySpec, kappa: Optional[KappaMatrix] = None):
+    def generic(cls, spec: FamilySpec, kappa: KappaMatrix | None = None):
         return cls(spec, kappa, "generic")
 
     @classmethod
-    def xi(cls, spec: FamilySpec, kappa: Optional[KappaMatrix] = None):
+    def xi(cls, spec: FamilySpec, kappa: KappaMatrix | None = None):
         return cls(spec, kappa, "xi")
 
-    def corrections(self) -> List[LaurentPoly]:
+    def corrections(self) -> list[LaurentPoly]:
         """The U_i: u_function for the generic variant; for xi, the same with
         the x^(i-m) head scaled by (i-m+alpha+1)_d, which vanishes exactly
         for the rows where that power would reach a Gamma pole."""
@@ -216,7 +215,7 @@ class BilinearForm:
                                  for i in range(self.spec.m)]
         return self._corrections
 
-    def _column(self, b: int, n: int) -> List[Fraction]:
+    def _column(self, b: int, n: int) -> list[Fraction]:
         """c_b[a] for a < n at least."""
         col, pochs = self._columns[b], self._pochs
         alpha = self.spec.alpha
@@ -228,14 +227,14 @@ class BilinearForm:
                            Fraction(0)))
         return col
 
-    def _moments_to(self, s: int) -> List[Fraction]:
+    def _moments_to(self, s: int) -> list[Fraction]:
         """(alpha)_t for t <= s at least, by (alpha)_(t+1) = (alpha)_t (alpha+t)."""
         g = self._moments
         while len(g) <= s:
             g.append(g[-1] * (self.spec.alpha + len(g) - 1))
         return g
 
-    def _gram_row(self, p: Poly, n: int) -> List[Fraction]:
+    def _gram_row(self, p: Poly, n: int) -> list[Fraction]:
         """<p, x^b> for b < n at least, kept for the last p paired."""
         pc = p.coeffs
         if pc != self._row_key:
@@ -278,13 +277,13 @@ def closed_form_moment(spec: FamilySpec, kappa_row: Sequence, k: int, u: int) ->
     return total
 
 
-@dataclass
+@record
 class OrthoReport:
     nmax: int
     variant: str
     passed: bool
-    entries: List[Tuple[int, int, Fraction]]  # (n, i, <q_n, q_i>) for i <= n
-    first_violation: Optional[Tuple[int, int, Fraction]] = None
+    entries: list[tuple[int, int, Fraction]]  # (n, i, <q_n, q_i>) for i <= n
+    first_violation: tuple[int, int, Fraction] | None = None
 
 
 def ortho_check(spec: FamilySpec, form: BilinearForm, nmax: int) -> OrthoReport:

@@ -15,11 +15,10 @@ builds Fractions only for the values it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
 
-from .poly import clear_denominators
+from .poly import clear_denominators, record
 
 
 class InconsistentSystem(Exception):
@@ -30,7 +29,7 @@ class InconsistentSystem(Exception):
         super().__init__(f"inconsistent system: contradiction in reduced row {row}")
 
 
-@dataclass
+@record
 class LinearSolution:
     """Solution set of a linear system in RREF-canonical coordinates.
 
@@ -39,16 +38,16 @@ class LinearSolution:
     free column, the negated reduced-column entries in the pivot positions.
     """
 
-    particular: Optional[List[Fraction]]
-    nullspace: List[List[Fraction]]
-    pivot_columns: List[int] = field(default_factory=list)
+    particular: list[Fraction] | None
+    nullspace: list[list[Fraction]]
+    pivot_columns: list[int]
 
     @property
     def unique(self) -> bool:
         return self.particular is not None and not self.nullspace
 
 
-def _eliminate(rows: List[List[int]], ncols: int) -> Tuple[List[int], int, int]:
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     """Bareiss forward pass over integer rows, in place, pivoting in columns
     0..ncols-1: returns (pivot columns, sign of the row swaps, last pivot).
     Rows from len(pivots) on end zero in those columns."""
@@ -71,7 +70,7 @@ def _eliminate(rows: List[List[int]], ncols: int) -> Tuple[List[int], int, int]:
     return pivots, sign, prev
 
 
-def solve_linear(A: Sequence[Sequence], b: Optional[Sequence] = None) -> LinearSolution:
+def solve_linear(A: Sequence[Sequence], b: Sequence | None = None) -> LinearSolution:
     """Solve A*x = b exactly (b=None solves the homogeneous system).
 
     Raises InconsistentSystem when no solution exists, naming the first
@@ -82,6 +81,8 @@ def solve_linear(A: Sequence[Sequence], b: Optional[Sequence] = None) -> LinearS
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
+    if b is not None and len(b) != m:
+        raise ValueError(f"right-hand side has {len(b)} entries for {m} rows")
     rows = [clear_denominators([*A[i], 0 if b is None else b[i]])[1] for i in range(m)]
     pivots, _, d = _eliminate(rows, n)
     for i in range(len(pivots), m):
@@ -90,7 +91,7 @@ def solve_linear(A: Sequence[Sequence], b: Optional[Sequence] = None) -> LinearS
 
     free = [c for c in range(n) if c not in pivots]
     # reduced[r][k]: d times pivot row r's reduced entry in column (free + [n])[k]
-    reduced: List[List[int]] = []
+    reduced: list[list[int]] = []
     for r in reversed(range(len(pivots))):
         row = rows[r]
         below = list(zip(pivots[r + 1:], reduced))

@@ -10,9 +10,12 @@ Grammar (precedence climbing, lowest first):
 
 '/' is not a general operator: it only forms rational literals, so '7/2*x'
 means (7/2)*x and 'x/2' is rejected.  Exponents must be literal nonnegative
-integers.  The output of poly.render is always accepted and round-trips.
-Parentheses and unary signs recurse, so nesting them more than MAX_DEPTH
-levels deep is a ParseError rather than a RecursionError.
+integers, and a power is refused before it is built when the exponent times
+its base's degree (a constant counting as degree 1) exceeds MAX_DEGREE, so
+'x^100000000' is a ParseError rather than 10^8 coefficients.  The output of
+poly.render is accepted and round-trips up to that degree.  Parentheses and
+unary signs recurse, so nesting them more than MAX_DEPTH levels deep is a
+ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([x+\-*/^()]))")
 _END = ("end", "", -1)
 
 MAX_DEPTH = 100  # six stack frames a level: 600 stay below the default limit of 1000
+MAX_DEGREE = 1000  # largest degree one power may build
 
 
 def _tokenize(text: str):
@@ -133,12 +137,16 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind != "int":
                 self.error("exponent must be a nonnegative integer literal",
                            expected=("integer",))
             self.advance()
-            return base ** int(value)
+            n, degree = int(value), max(base.degree, 1)
+            if n * degree > MAX_DEGREE:
+                raise ParseError(f"power too large: exponent {n} times base degree "
+                                 f"{degree} exceeds {MAX_DEGREE}", pos)
+            return base ** n
         return base
 
     def atom(self) -> Poly:

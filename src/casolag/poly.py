@@ -9,21 +9,96 @@ The canonical text rendering (``render`` / ``Poly.__str__``) is the exchange
 format used by the CLI and the config files: ``-12*x^5+144*x^4-628*x^3+...``,
 no spaces, descending powers, ``^`` for exponentiation.  ``parsing.parse_poly``
 is the inverse.
+
+``record`` is the class decorator behind every result type in the package
+(``FamilySpec``, ``LinearSolution``, ``RecurrenceTable``, the CLI's
+``Table``, ...).  It reads the field names from the class annotations, in
+order, and adds an ``__init__`` that takes them positionally or by keyword
+(a class-level value is the default) and then calls ``__post_init__`` if
+the class has one, a ``__repr__`` in the ``Name(field=value, ...)`` form,
+and an ``__eq__`` between instances of the same class.  A field whose name
+starts with ``_`` is left out of the repr, the comparison and the hash.
+With ``frozen=True`` assignment raises ``AttributeError`` and instances
+hash by their fields; otherwise they are unhashable.  It builds no code at
+run time and imports nothing, so a casolag process loads little of the
+standard library beyond ``argparse``, ``json``, ``fractions``, ``math``,
+``functools`` and ``re``.  The standard library's ``asdict``, ``replace`` and
+``fields`` helpers do not apply to these classes.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
 
 Rat = Fraction
 
-RatLike = Union[Fraction, int, str]
+RatLike = Fraction | int | str
 
 # degree of the zero polynomial; compares below every integer
 NEG_INF = float("-inf")
+
+
+def record(cls=None, *, frozen: bool = False):
+    """Class decorator: a record over the annotated fields (module docstring)."""
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    name = cls.__name__
+    names = tuple(cls.__annotations__)
+    public = tuple(n for n in names if not n.startswith("_"))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(names, args))
+        for key, value in kwargs.items():
+            if key not in names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        if len(values) < len(names):
+            missing = [n for n in names if n not in values and n not in defaults]
+            if missing:
+                raise TypeError(f"{name}() missing {len(missing)} required argument(s): "
+                                + ", ".join(map(repr, missing)))
+            values = {n: values[n] if n in values else defaults[n] for n in names}
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, n) for n in public)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{n}={getattr(self, n)!r}" for n in public) + ")")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    cls.__init__ = __init__
+    cls.__repr__ = __repr__
+    cls.__eq__ = __eq__
+    cls.__hash__ = None
+    if frozen:
+        def __setattr__(self, key, value):
+            raise AttributeError(f"cannot assign to field {key!r} of frozen {name}")
+
+        def __delattr__(self, key):
+            raise AttributeError(f"cannot delete field {key!r} of frozen {name}")
+
+        cls.__setattr__ = __setattr__
+        cls.__delattr__ = __delattr__
+        cls.__hash__ = lambda self: hash(_fields(self))
+    return cls
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -320,7 +395,7 @@ def _sign_changes(chain, x: int) -> int:
     return sum(u != w for u, w in zip(signs, signs[1:]))
 
 
-def clear_denominators(values: Sequence) -> Tuple[int, List[int]]:
+def clear_denominators(values: Sequence) -> tuple[int, list[int]]:
     """(L, [L*v for v in values]) with L the lcm of the denominators; values
     that are all ints come back as they are, with no Fraction built."""
     if all(type(v) is int for v in values):

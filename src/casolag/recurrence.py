@@ -44,26 +44,25 @@ longer range and checks each basis element there by linearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .family import FamilySpec, q_beta
 from .linalg import solve_linear
-from .poly import Poly, clear_denominators, rat_str
+from .poly import Poly, clear_denominators, rat_str, record
 
-Window = Tuple[int, List[int], int]  # (lo, w, den): sum_i (w_i / den) L_{lo+i}
-Rung = Tuple[Tuple[int, ...], Fraction]  # (b, scale): beta_{k,j} = b_j / scale
-Tops = Tuple[int, List[Tuple[int, int]]]  # (lo, [(e_k, den_k)]): c_k = e_k / den_k / beta_{k,0}
+Window = tuple[int, list[int], int]  # (lo, w, den): sum_i (w_i / den) L_{lo+i}
+Rung = tuple[tuple[int, ...], Fraction]  # (b, scale): beta_{k,j} = b_j / scale
+Tops = tuple[int, list[tuple[int, int]]]  # (lo, [(e_k, den_k)]): c_k = e_k / den_k / beta_{k,0}
 
 
-@dataclass
+@record
 class RecurrenceTable:
     Q: Poly
     n_range: range
-    rows: Dict[int, Dict[int, Fraction]]  # n -> {j: gamma_{n,j}}, zeros omitted
+    rows: dict[int, dict[int, Fraction]]  # n -> {j: gamma_{n,j}}, zeros omitted
 
     def gamma(self, n: int, j: int) -> Fraction:
         return self.rows[n].get(j, Fraction(0))
@@ -86,7 +85,7 @@ def _x_step(alpha: Fraction, lo: int, w: Sequence[int], den: int) -> Window:
 
 
 def _back_substitute(lo: int, w: Sequence[int], den: int, betas: Sequence[Rung],
-                     stop: int = 0) -> Tuple[Tops, Window]:
+                     stop: int = 0) -> tuple[Tops, Window]:
     """Peel the q_k off sum_i (w_i / den) L_{lo+i}, top down, for every k >= stop.
 
     Returns (c, r): c = (lo_c, [(e_k, den_k)]), the top entry and den at
@@ -123,7 +122,7 @@ def _back_substitute(lo: int, w: Sequence[int], den: int, betas: Sequence[Rung],
     return (hi - i, tops[::-1]), (hi - len(rest), [v // g for v in r], den // g)
 
 
-def _coefficients(c: Tops, betas: Sequence[Rung]) -> Tuple[int, List[Fraction]]:
+def _coefficients(c: Tops, betas: Sequence[Rung]) -> tuple[int, list[Fraction]]:
     """The coefficient window (lo, [c_k]) of _back_substitute's tops."""
     lo, tops = c
     return lo, [Fraction(e * betas[k][1].numerator,
@@ -131,7 +130,7 @@ def _coefficients(c: Tops, betas: Sequence[Rung]) -> Tuple[int, List[Fraction]]:
                 for k, (e, den) in enumerate(tops, lo)]
 
 
-def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung]) -> Tuple[Tops, Window]:
+def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung]) -> tuple[Tops, Window]:
     """_back_substitute of Q times the window v, built by Horner's rule on
     windows (w <- x w + a v, from the top coefficient of Q down) over
     integer coefficients of Q."""
@@ -146,7 +145,7 @@ def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung]) -> Tuple
     return _back_substitute(wlo, w, den * qden * vden, betas)
 
 
-def _extend_ladder(spec: FamilySpec, betas: List[Rung], top: int) -> List[Rung]:
+def _extend_ladder(spec: FamilySpec, betas: list[Rung], top: int) -> list[Rung]:
     """Append q_beta(spec, k), as a primitive integer row b and the scale
     with b = scale * beta, to betas for k = len(betas)..top, in order, so
     DegenerateFamily names the first k with Omega(k) = 0."""
@@ -163,7 +162,7 @@ def _q_window(betas: Sequence[Rung], n: int) -> Window:
     return n + 1 - len(b), [v * scale.denominator for v in reversed(b)], scale.numerator
 
 
-def expand_in_q(spec: FamilySpec, p: Poly) -> List[Fraction]:
+def expand_in_q(spec: FamilySpec, p: Poly) -> list[Fraction]:
     """Coefficients c with p = sum_k c_k q_k: the engine applied to p * L_0."""
     if p.is_zero():
         return []
@@ -192,8 +191,8 @@ def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
     return RecurrenceTable(Q=Q, n_range=n_range, rows=rows)
 
 
-def _monomial_residuals(spec: FamilySpec, betas: List[Rung],
-                        n_range: range, band: int) -> Iterator[Dict[int, Window]]:
+def _monomial_residuals(spec: FamilySpec, betas: list[Rung],
+                        n_range: range, band: int) -> Iterator[dict[int, Window]]:
     """Yield, for k = 0, 1, 2, ..., the residual windows below n - band of
     x^k q_n, keyed by the n in n_range with n > band (no lower row exists).
 
@@ -212,7 +211,7 @@ def _monomial_residuals(spec: FamilySpec, betas: List[Rung],
 
 
 def _first_outside(table: RecurrenceTable, lo: int,
-                   hi: Optional[int] = None) -> Optional[Tuple[int, int, Fraction]]:
+                   hi: int | None = None) -> tuple[int, int, Fraction] | None:
     """First (n, j, gamma_{n,j}) with a nonzero gamma outside lo <= j <= hi
     (no upper limit when hi is None), scanning n and then j ascending."""
     for n in sorted(table.rows):
@@ -239,14 +238,14 @@ def verify_band(table: RecurrenceTable, s: int) -> bool:
                for n in table.rows if n >= s)
 
 
-@dataclass
+@record
 class ThreeTermResult:
     nmax: int
     passed: bool
-    a: List[Fraction]  # gamma_{n,1}
-    b: List[Fraction]  # gamma_{n,0}
-    c: List[Fraction]  # gamma_{n,-1}
-    failure: Optional[str] = None
+    a: list[Fraction]  # gamma_{n,1}
+    b: list[Fraction]  # gamma_{n,0}
+    c: list[Fraction]  # gamma_{n,-1}
+    failure: str | None = None
 
 
 def three_term_test(spec: FamilySpec, nmax: int) -> ThreeTermResult:
@@ -276,11 +275,11 @@ def three_term_test(spec: FamilySpec, nmax: int) -> ThreeTermResult:
     return ThreeTermResult(nmax, True, a, b, c)
 
 
-@dataclass
+@record
 class ObstructionResult:
     obstructed: bool
-    witness: Optional[int] = None  # the g with g - u outside G, g - u >= 0
-    bands_refuted_up_to: Optional[int] = None
+    witness: int | None = None  # the g with g - u outside G, g - u >= 0
+    bands_refuted_up_to: int | None = None
 
 
 def obstruction_test(spec: FamilySpec, Q: Poly, n_check: int = 20) -> ObstructionResult:
@@ -316,25 +315,26 @@ def obstruction_test(spec: FamilySpec, Q: Poly, n_check: int = 20) -> Obstructio
     return ObstructionResult(True, witness=witness, bands_refuted_up_to=n_check)
 
 
-@dataclass
+@record
 class AlgebraProbeResult:
     degree_cap: int
     band: int
     n_max: int
-    basis: List[Poly]
+    basis: list[Poly]
     # the engine's beta ladder for k <= n_max + degree_cap, and _residuals[k][n]
     # for k <= degree_cap and band < n <= n_max: the window of x^k q_n left
-    # below n - band, which reverify_probe extends instead of recomputing
-    _betas: List[Rung] = field(repr=False, compare=False)
-    _residuals: List[Dict[int, Window]] = field(repr=False, compare=False)
+    # below n - band, which reverify_probe extends instead of recomputing;
+    # as _-prefixed fields they stay out of repr and ==
+    _betas: list[Rung]
+    _residuals: list[dict[int, Window]]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
 
-def algebra_probe(spec: FamilySpec, d: int, band: Optional[int] = None,
-                  n_max: Optional[int] = None) -> AlgebraProbeResult:
+def algebra_probe(spec: FamilySpec, d: int, band: int | None = None,
+                  n_max: int | None = None) -> AlgebraProbeResult:
     """Canonical basis of {Q : deg Q <= d, gamma_{n,j}(Q) = 0 for j < -band,
     all n <= n_max}.
 
@@ -352,7 +352,7 @@ def algebra_probe(spec: FamilySpec, d: int, band: Optional[int] = None,
         raise ValueError("degree cap must be >= 0")
     B = d if band is None else band
     N = (2 * d + spec.max_g + 10) if n_max is None else n_max
-    betas: List[Rung] = []
+    betas: list[Rung] = []
     residuals = list(islice(_monomial_residuals(spec, betas, range(N + 1), B), d + 1))
     rows = []
     for n in residuals[0]:
@@ -382,14 +382,14 @@ def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10
     N = result.n_max + extra
     more = _monomial_residuals(spec, list(result._betas), range(result.n_max + 1, N + 1),
                                result.band)
-    residuals: List[Dict[int, Window]] = []  # residuals[k][n] of x^k q_n
+    residuals: list[dict[int, Window]] = []  # residuals[k][n] of x^k q_n
     for Q in result.basis:
         while len(residuals) <= Q.degree:
             residuals.append({**result._residuals[len(residuals)], **next(more)})
         terms = [(k, a) for k, a in enumerate(clear_denominators(Q.coeffs)[1]) if a]
         for n in residuals[0]:
             L = lcm(*(residuals[k][n][2] for k, _ in terms))
-            below: Dict[int, int] = {}
+            below: dict[int, int] = {}
             for k, a in terms:
                 lo, r, den = residuals[k][n]
                 a *= L // den
@@ -400,13 +400,13 @@ def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10
     return True
 
 
-@dataclass
+@record
 class RhoRecurrenceResult:
     rho: int
     band: int
     table: RecurrenceTable
     band_ok: bool  # gamma_{n,j} = 0 beyond the band, every row
-    extremes_from: Optional[int]  # first n with both extremes nonzero onward
+    extremes_from: int | None  # first n with both extremes nonzero onward
     passed: bool
 
 

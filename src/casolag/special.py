@@ -10,8 +10,8 @@ inside the rationals.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Sequence
 
 from .linalg import det_rat
 from .poly import Poly, as_rat
@@ -46,7 +46,7 @@ def binom_poly(l: int) -> Poly:
     return p * Fraction(1, math.factorial(l))
 
 
-def to_binomial_basis(p: Poly) -> List[Fraction]:
+def to_binomial_basis(p: Poly) -> list[Fraction]:
     """Coefficients w with p = sum_l w[l]*binom_poly(l).
 
     The change of basis is triangular: binom_poly(l) has degree l and

@@ -8,7 +8,9 @@ import jsonschema
 import pytest
 
 import casolag.family
+from casolag import Poly
 from casolag.cli import main
+from casolag.parsing import MAX_DEGREE
 
 REMARK = {"alpha": 7, "G": [1, 2, 5],
           "R": {"1": "x-1", "2": "x^2+1", "5": "x^5+x^4+x^3+1"}}
@@ -303,6 +305,35 @@ def test_bad_q_flag(cfg, capsys):
     code, _, err = run(capsys, "recur", "--config", cfg(REMARK), "--Q", "x^^2")
     assert code == 1
     assert "Q" in json.loads(err)["error"]["message"]
+
+
+def refuse_large_powers(monkeypatch):
+    build = Poly.__pow__
+
+    def guarded(self, n):
+        assert n <= MAX_DEGREE, f"built a power with exponent {n}"
+        return build(self, n)
+    monkeypatch.setattr(Poly, "__pow__", guarded)
+
+
+def test_huge_power_in_q_flag(cfg, capsys, monkeypatch):
+    path = cfg(REMARK)
+    refuse_large_powers(monkeypatch)
+    code, _, err = run(capsys, "recur", "--config", path, "--Q", "x^100000000")
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage"
+    assert error["message"].startswith("bad --Q: power too large")
+
+
+def test_huge_power_in_seed(cfg, capsys, monkeypatch):
+    path = cfg({"alpha": 7, "G": [1], "R": {"1": "(x+1)^100000"}})
+    refuse_large_powers(monkeypatch)
+    code, _, err = run(capsys, "check", "--config", path)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert "power too large" in error["message"]
 
 
 def test_unknown_command_usage_error(capsys):

@@ -115,6 +115,15 @@ def test_zero_rows_ignored():
     assert sol.particular == [F(4), F(0)]
 
 
+@pytest.mark.parametrize("A,b,sizes", [
+    ([[1, 2], [3, 4]], [1], "1 entries for 2 rows"),
+    ([[1, 2]], [1, 2, 3], "3 entries for 1 rows"),
+])
+def test_right_hand_side_length_must_match(A, b, sizes):
+    with pytest.raises(ValueError, match=sizes):
+        solve_linear(A, b)
+
+
 def test_det_rat():
     assert det_rat([[F(1), F(2)], [F(3), F(4)]]) == -2
     assert det_rat([[F(2)]]) == 2

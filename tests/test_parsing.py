@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from casolag import ParseError, Poly, parse_poly, render
-from casolag.parsing import MAX_DEPTH
+from casolag.parsing import MAX_DEGREE, MAX_DEPTH
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -74,6 +74,36 @@ def test_deep_nesting_is_a_parse_error(text):
         parse_poly(text)
     assert ei.value.position == MAX_DEPTH
     assert "nesting deeper" in str(ei.value)
+
+
+def test_powers_up_to_max_degree_parse():
+    assert parse_poly(f"x^{MAX_DEGREE}") == Poly.monomial(MAX_DEGREE)
+    assert parse_poly(f"(x^2+1)^{MAX_DEGREE // 2}").degree == MAX_DEGREE
+    assert parse_poly(f"2^{MAX_DEGREE}") == Poly.const(2 ** MAX_DEGREE)
+
+
+def refuse_large_powers(monkeypatch):
+    build = Poly.__pow__
+
+    def guarded(self, n):
+        assert n <= MAX_DEGREE, f"built a power with exponent {n}"
+        return build(self, n)
+    monkeypatch.setattr(Poly, "__pow__", guarded)
+
+
+@pytest.mark.parametrize("text,position", [
+    ("x^100000000", 2),
+    ("(x+1)^100000", 6),
+    ("2^100000000", 2),
+    ("(x^2+1)^" + str(MAX_DEGREE // 2 + 1), 8),
+    ("3*(x^30)^40", 9),
+])
+def test_power_above_max_degree_is_refused_unbuilt(monkeypatch, text, position):
+    refuse_large_powers(monkeypatch)
+    with pytest.raises(ParseError) as ei:
+        parse_poly(text)
+    assert ei.value.position == position
+    assert "power too large" in str(ei.value)
 
 
 def test_error_mentions_offset():

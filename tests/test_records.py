@@ -1,0 +1,147 @@
+"""casolag's result types: the import graph they keep small, and the record
+semantics of poly.record (construction, repr, ==, frozen, hash).
+
+The pinned reprs are those the same instances had when the classes were
+standard-library dataclasses; the field order and the fields left out of ==
+(AlgebraProbeResult's _betas and _residuals) are pinned the same way.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+from casolag import (AdmissibilityCertificate, AlgebraProbeResult, BetaRow,
+                     FamilySpec, KappaMatrix, LinearSolution, ObstructionResult,
+                     OrthoReport, Poly, RecurrenceTable, RhoRecurrenceResult,
+                     ThreeTermResult)
+from casolag.cli import Table
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_cli_imports_no_heavy_modules():
+    code = f"import casolag.cli, sys; print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
+
+
+X1 = Poly((-1, 1))
+TABLE = RecurrenceTable(Poly.x(), range(3), {0: {1: F(1)}, 1: {-1: F(-1, 2)}})
+
+# (class, field names, positional values, defaults, repr as a dataclass)
+CASES = [
+    (Table, ("names", "rows", "title", "colspec", "heads", "note"),
+     (("n", "q"), [(0, X1)], "T", "ll", ("$n$", "$q$"), "c"),
+     {"title": None, "colspec": None, "heads": None, "note": None},
+     "Table(names=('n', 'q'), rows=[(0, Poly(x-1))], title='T', colspec='ll', "
+     "heads=('$n$', '$q$'), note='c')"),
+    (FamilySpec, ("alpha", "G", "R"), (F(7), (1,), {1: X1}), {},
+     "FamilySpec(alpha=Fraction(7, 1), G=(1,), R={1: Poly(x-1)})"),
+    (BetaRow, ("n", "values"), (3, (F(1), F(-2, 3))), {},
+     "BetaRow(n=3, values=(Fraction(1, 1), Fraction(-2, 3)))"),
+    (AdmissibilityCertificate, ("omega", "integer_scan_bound", "verdict", "fail_n"),
+     (X1, 3, "fail", 1), {"fail_n": None},
+     "AdmissibilityCertificate(omega=Poly(x-1), integer_scan_bound=3, "
+     "verdict='fail', fail_n=1)"),
+    (KappaMatrix, ("rows",), (((F(1), F(0)), (F(-1, 2), F(1))),), {},
+     "KappaMatrix(rows=((Fraction(1, 1), Fraction(0, 1)), "
+     "(Fraction(-1, 2), Fraction(1, 1))))"),
+    (OrthoReport, ("nmax", "variant", "passed", "entries", "first_violation"),
+     (1, "generic", False, [(0, 0, F(1)), (1, 0, F(2))], (1, 0, F(2))),
+     {"first_violation": None},
+     "OrthoReport(nmax=1, variant='generic', passed=False, entries=[(0, 0, "
+     "Fraction(1, 1)), (1, 0, Fraction(2, 1))], first_violation=(1, 0, Fraction(2, 1)))"),
+    (LinearSolution, ("particular", "nullspace", "pivot_columns"),
+     ([F(1), F(0)], [[F(-2), F(1)]], [0]), {},
+     "LinearSolution(particular=[Fraction(1, 1), Fraction(0, 1)], "
+     "nullspace=[[Fraction(-2, 1), Fraction(1, 1)]], pivot_columns=[0])"),
+    (RecurrenceTable, ("Q", "n_range", "rows"), (TABLE.Q, TABLE.n_range, TABLE.rows), {},
+     "RecurrenceTable(Q=Poly(x), n_range=range(0, 3), rows={0: {1: Fraction(1, 1)}, "
+     "1: {-1: Fraction(-1, 2)}})"),
+    (ThreeTermResult, ("nmax", "passed", "a", "b", "c", "failure"),
+     (1, False, [F(1)], [F(0)], [F(0)], "c_1 = 0"), {"failure": None},
+     "ThreeTermResult(nmax=1, passed=False, a=[Fraction(1, 1)], b=[Fraction(0, 1)], "
+     "c=[Fraction(0, 1)], failure='c_1 = 0')"),
+    (ObstructionResult, ("obstructed", "witness", "bands_refuted_up_to"), (True, 2, 20),
+     {"witness": None, "bands_refuted_up_to": None},
+     "ObstructionResult(obstructed=True, witness=2, bands_refuted_up_to=20)"),
+    (AlgebraProbeResult, ("degree_cap", "band", "n_max", "basis", "_betas", "_residuals"),
+     (2, 2, 16, [Poly.one(), Poly((0, 0, 1))], [], []), {},
+     "AlgebraProbeResult(degree_cap=2, band=2, n_max=16, basis=[Poly(1), Poly(x^2)])"),
+    (RhoRecurrenceResult, ("rho", "band", "table", "band_ok", "extremes_from", "passed"),
+     (3, 4, TABLE, True, 4, True), {},
+     "RhoRecurrenceResult(rho=3, band=4, table=RecurrenceTable(Q=Poly(x), "
+     "n_range=range(0, 3), rows={0: {1: Fraction(1, 1)}, 1: {-1: Fraction(-1, 2)}}), "
+     "band_ok=True, extremes_from=4, passed=True)"),
+]
+IDS = [case[0].__name__ for case in CASES]
+FROZEN = (FamilySpec, KappaMatrix)
+
+
+@pytest.mark.parametrize("cls,names,args,defaults,text", CASES, ids=IDS)
+def test_construction_and_repr(cls, names, args, defaults, text):
+    obj = cls(*args)
+    assert repr(obj) == text
+    assert cls(**dict(zip(names, args))) == obj
+    assert [getattr(obj, n) for n in names] == list(args)
+    required = [v for n, v in zip(names, args) if n not in defaults]
+    bare = cls(*required)
+    assert {n: getattr(bare, n) for n in defaults} == defaults
+    with pytest.raises(TypeError, match="missing"):
+        cls(*required[:-1])
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    with pytest.raises(TypeError):
+        cls(*args[:1], **{names[0]: args[0]})
+    with pytest.raises(TypeError):
+        cls(*args, bogus=1)
+
+
+@pytest.mark.parametrize("cls,names,args,defaults,text", CASES, ids=IDS)
+def test_equality_and_hashing(cls, names, args, defaults, text):
+    obj = cls(*args)
+    assert obj == cls(*args)
+    assert obj != object()
+    if cls in FROZEN:
+        with pytest.raises(AttributeError):
+            setattr(obj, names[0], args[0])
+        with pytest.raises(AttributeError):
+            delattr(obj, names[0])
+    else:
+        with pytest.raises(TypeError):
+            hash(obj)
+        setattr(obj, names[0], None)
+        assert obj != cls(*args)
+
+
+def test_kappa_matrix_hashes_by_value():
+    rows = ((F(1), F(0)), (F(-1, 2), F(1)))
+    a, b = KappaMatrix(rows), KappaMatrix(tuple(map(tuple, rows)))
+    assert a is not b and hash(a) == hash(b)
+    assert {a: "kappa"}[b] == "kappa"
+    assert KappaMatrix(((F(2),),)) != a
+
+
+def test_probe_result_equality_ignores_engine_state():
+    basis = [Poly.one()]
+    a = AlgebraProbeResult(1, 1, 12, basis, _betas=[((1,), F(1))], _residuals=[{}])
+    b = AlgebraProbeResult(1, 1, 12, basis, _betas=[], _residuals=[])
+    assert a == b
+    assert a != AlgebraProbeResult(1, 1, 13, basis, [], [])
+
+
+def test_family_spec_post_init_still_validates():
+    spec = FamilySpec(7, [1, 2], {"1": X1, 2: Poly((1, 0, 1))})
+    assert spec.alpha == F(7) and isinstance(spec.alpha, F)
+    assert spec.G == (1, 2) and set(spec.R) == {1, 2}
+    for G, R in [((2, 1), {1: X1, 2: Poly((1, 0, 1))}), ((), {}), ((1,), {1: Poly((1, 0, 1))}),
+                 ((1, 2), {1: X1})]:
+        with pytest.raises(ValueError):
+            FamilySpec(7, G, R)
