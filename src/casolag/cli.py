@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .family import (AdmissibilityCertificate, DegenerateFamily, FamilySpec,
-                     InvalidPreset, certify_admissible, q_poly,
+                     InvalidPreset, _unique_keys, certify_admissible, q_poly,
                      spec_from_json_dict)
 from .forms import BilinearForm, VariantError, ortho_check
 from .parsing import ParseError, parse_poly
@@ -44,13 +44,15 @@ class CliError(Exception):
 def _load_family(path: str) -> FamilySpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise CliError(f"cannot read config: {e}", "config") from e
     except json.JSONDecodeError as e:
         raise CliError(f"config is not valid JSON: {e}", "config") from e
     except UnicodeDecodeError as e:
         raise CliError(f"config is not valid UTF-8: {e}", "config") from e
+    except ValueError as e:  # a key given twice, or an integer past the digit limit
+        raise CliError(f"invalid family config: {e}", "config") from e
     try:
         return spec_from_json_dict(obj)
     except (ValueError, InvalidPreset, ParseError) as e:

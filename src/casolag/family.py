@@ -27,7 +27,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .laguerre import laguerre
+from .laguerre import laguerre_ints
 from .linalg import det_int, solve_linear, InconsistentSystem
 from .parsing import parse_poly
 from .poly import (Poly, as_rat, clear_denominators, integer_roots, rat_str, record,
@@ -173,12 +173,27 @@ def q_beta(spec: FamilySpec, n: int) -> tuple[Fraction, ...]:
     return values[:min(spec.m, n) + 1]
 
 
+def q_rung(spec: FamilySpec, n: int) -> tuple[tuple[int, ...], Fraction]:
+    """q_beta(spec, n) as a primitive integer row b and the positive scale
+    with b = scale * beta."""
+    den, ints = clear_denominators(q_beta(spec, n))
+    g = math.gcd(*ints)
+    return tuple(b // g for b in ints), Fraction(den, g)
+
+
 def q_poly(spec: FamilySpec, n: int) -> Poly:
-    """The degree-n family member q_n = sum_j beta_{n,j} L_{n-j}."""
-    out = Poly.zero()
-    for j, b in enumerate(q_beta(spec, n)):
-        out = out + b * laguerre(n - j, spec.alpha)
-    return out
+    """The degree-n family member q_n = sum_j beta_{n,j} L_{n-j}, summed in
+    integers: with alpha = p/q and (b, scale) = q_rung(spec, n), scale n! q^n
+    q_n = sum_j b_j n!/(n-j)! q^j [(n-j)! q^(n-j) L_{n-j}] (laguerre_ints)."""
+    b, scale = q_rung(spec, n)
+    p, q = spec.alpha.numerator, spec.alpha.denominator
+    out = [0] * (n + 1)
+    for j, bj in enumerate(b):
+        f = bj * math.perm(n, j) * q ** j
+        for k, c in enumerate(laguerre_ints(n - j, p, q)):
+            out[k] += f * c
+    den = scale.numerator * math.factorial(n) * q ** n
+    return Poly(Fraction(c * scale.denominator, den) for c in out)
 
 
 def reduce_representation(spec: FamilySpec) -> FamilySpec:
@@ -378,10 +393,24 @@ def spec_from_json_dict(obj: dict) -> FamilySpec:
         raise ValueError(f"unknown preset kind {json.dumps(kind)}")
     alpha = _json_number(obj["alpha"], "alpha", rational=True)
     G = [_json_number(g, "G entry") for g in _json_typed(obj["G"], list, "G")]
+    seeds = _json_typed(obj["R"], dict, "R")
     R = {int(g): parse_poly(_json_typed(text, str, f"seed R[{g}]"))
-         for g, text in _json_typed(obj["R"], dict, "R").items()}
+         for g, text in seeds.items()}
+    if len(R) < len(seeds):
+        raise ValueError(f"R names one seed twice, keys {json.dumps(list(seeds))}")
     return FamilySpec(alpha, tuple(G), R)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook: a key given twice is an error, where json
+    would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        twice = next(k for k in keys if keys.count(k) > 1)
+        raise ValueError(f"key {json.dumps(twice)} given twice")
+    return obj
+
+
 def spec_from_json(text: str) -> FamilySpec:
-    return spec_from_json_dict(json.loads(text))
+    return spec_from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))

@@ -37,7 +37,9 @@ with c_b[a] = sum_l (alpha-l)_a W_b[l], and <p, q> = sum_b q_b row_p[b].
 The form keeps the row of the last p it paired and extends it lazily to the
 length of each q, so pairing q_n with q_0..q_n in turn builds each entry of
 q_n's row once: O(n) operations per entry and per dot product, so
-O(nmax^3) for ortho_check's whole triangle.
+O(nmax^3) for ortho_check's whole triangle.  With alpha = p/q, each Gram
+entry times q^(a+b+1) and the W_b's common denominator is an integer, so
+the rows and pairings are integer sums, and a pairing builds one Fraction.
 
 The kappa coefficients entering the corrections are solved once per family:
 row i annihilates the seed values at -1..-(m-1-i) and is normalized to give
@@ -53,7 +55,7 @@ from fractions import Fraction
 
 from .family import DegenerateFamily, FamilySpec, q_poly
 from .linalg import InconsistentSystem, solve_linear
-from .poly import LaurentPoly, Poly, as_rat, record
+from .poly import LaurentPoly, Poly, as_rat, clear_denominators, record
 from .special import binom_rat, poch, to_binomial_basis
 
 
@@ -165,13 +167,16 @@ class BilinearForm:
     """A family's bilinear form with a fixed kappa matrix and variant.
 
     Pairs by the Gram row of the module docstring; the variant only chooses
-    d.  Three tables grow as longer polynomials are paired and are reused by
-    every later pairing: the moments (alpha)_s, the running Pochhammer
-    symbols (alpha-l)_a with (alpha-l)_(a+1) = (alpha-l)_a (alpha-l+a), and
-    the m columns c_b[a] = sum_l (alpha-l)_a W_b[l].  A one-slot memo keyed
-    on p's coefficients holds row_p, so inner(p, q) costs one dot product
-    with q plus whatever entries of row_p no earlier q reached; pairing a
-    different p starts a new row.
+    d.  With alpha = p/q, every table holds integers over a known
+    denominator: W_b = _weights[b] / _wden, the moments (alpha)_s =
+    _moments[s] / q^s, the running Pochhammer symbols (alpha-l)_a =
+    _pochs[a][l] / q^a and the m columns c_b[a] = _columns[b][a] /
+    (q^a _wden).  They grow as longer polynomials are paired and are reused
+    by every later pairing.  A one-slot memo keyed on p's coefficients holds
+    row_p[b] = _row[b] / (den_p q^(b+1) _wden), so inner(p, q) costs one
+    integer dot product with q's cleared coefficients, one Fraction, and
+    whatever entries of row_p no earlier q reached; pairing a different p
+    starts a new row.
 
     corrections() builds the Laurent corrections U_i themselves, which the
     pairing does not need.
@@ -189,14 +194,15 @@ class BilinearForm:
         self.kappa = kappa if kappa is not None else kappa_matrix(spec)
         self.variant = variant
         self._corrections = None
-        self._moments = [Fraction(1)]  # (alpha)_s for s = 0, 1, ...
-        ws = _seed_ws(spec)
-        self._weights = [_seed_weights(spec, ws, self.kappa.row(b)) for b in range(spec.m)]
-        # (alpha-l)_a for l = 0..maxG, one tuple per a = 0, 1, ...
-        self._pochs = [(Fraction(1),) * (spec.max_g + 1)]
-        self._columns: list[list[Fraction]] = [[] for _ in range(spec.m)]
+        self._p, self._q = spec.alpha.numerator, spec.alpha.denominator
+        ws, k = _seed_ws(spec), spec.max_g + 1
+        self._wden, wints = clear_denominators(
+            [w for b in range(spec.m) for w in _seed_weights(spec, ws, self.kappa.row(b))])
+        self._weights = [wints[b * k:(b + 1) * k] for b in range(spec.m)]
+        self._moments, self._pochs = [1], [(1,) * k]
+        self._columns: list[list[int]] = [[] for _ in range(spec.m)]
         self._row_key: tuple[Fraction, ...] | None = None  # p.coeffs of the row
-        self._row: list[Fraction] = []
+        self._row_den, self._row_p, self._row = 1, [], []  # den_p, p's c_a, row
 
     @classmethod
     def generic(cls, spec: FamilySpec, kappa: KappaMatrix | None = None):
@@ -211,49 +217,55 @@ class BilinearForm:
         the x^(i-m) head scaled by (i-m+alpha+1)_d, which vanishes exactly
         for the rows where that power would reach a Gamma pole."""
         if self._corrections is None:
-            self._corrections = [_correction(self.spec, self._weights[i], i, self._d)
-                                 for i in range(self.spec.m)]
+            self._corrections = [_correction(self.spec, [Fraction(w, self._wden) for w in W],
+                                             i, self._d) for i, W in enumerate(self._weights)]
         return self._corrections
 
-    def _column(self, b: int, n: int) -> list[Fraction]:
-        """c_b[a] for a < n at least."""
+    def _column(self, b: int, n: int) -> list[int]:
+        """q^a _wden c_b[a] for a < n at least."""
         col, pochs = self._columns[b], self._pochs
-        alpha = self.spec.alpha
         while len(pochs) < n:
             a = len(pochs) - 1
-            pochs.append(tuple(r * (alpha - l + a) for l, r in enumerate(pochs[a])))
+            pochs.append(tuple(r * (self._p + (a - l) * self._q) for l, r in enumerate(pochs[a])))
         for a in range(len(col), n):
-            col.append(sum((r * w for r, w in zip(pochs[a], self._weights[b]) if w != 0),
-                           Fraction(0)))
+            col.append(sum(r * w for r, w in zip(pochs[a], self._weights[b]) if w))
         return col
 
-    def _moments_to(self, s: int) -> list[Fraction]:
-        """(alpha)_t for t <= s at least, by (alpha)_(t+1) = (alpha)_t (alpha+t)."""
+    def _moments_to(self, s: int) -> list[int]:
+        """q^t (alpha)_t for t <= s at least, by (alpha)_(t+1) = (alpha)_t (alpha+t)."""
         g = self._moments
         while len(g) <= s:
-            g.append(g[-1] * (self.spec.alpha + len(g) - 1))
+            g.append(g[-1] * (self._p + (len(g) - 1) * self._q))
         return g
 
-    def _gram_row(self, p: Poly, n: int) -> list[Fraction]:
-        """<p, x^b> for b < n at least, kept for the last p paired."""
-        pc = p.coeffs
-        if pc != self._row_key:
-            self._row_key, self._row = pc, []
-        row, m = self._row, self.spec.m
+    def _cleared(self, coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+        """(den, c) with coeffs[a] / q^a = c[a] / den, all integers."""
+        den, q, top = math.lcm(*(c.denominator for c in coeffs)), self._q, len(coeffs) - 1
+        return den * q ** max(top, 0), [c.numerator * (den // c.denominator) * q ** (top - a)
+                                        for a, c in enumerate(coeffs)]
+
+    def _gram_row(self, p: Poly, n: int) -> list[int]:
+        """den_p q^(b+1) _wden <p, x^b> for b < n at least, kept for the last
+        p paired."""
+        if p.coeffs != self._row_key:
+            self._row_key, self._row = p.coeffs, []
+            self._row_den, self._row_p = self._cleared(p.coeffs)
+        row, pc, m = self._row, self._row_p, self.spec.m
         for b in range(len(row), n):
             if b < m:
-                gram, off, f = self._column(b, len(pc)), 0, 1
+                gram, off, f = self._column(b, len(pc)), 0, self._q ** (b + 1)
             else:
                 gram, off = self._moments_to(len(pc) + b - m), b - m + 1
-                f = math.perm(b, self._d)
-            row.append(f * sum((pa * gram[a + off] for a, pa in enumerate(pc) if pa != 0),
-                               Fraction(0)))
+                f = math.perm(b, self._d) * self._wden * self._q ** m
+            row.append(f * sum(pa * gram[a + off] for a, pa in enumerate(pc) if pa))
         return row
 
     def inner(self, p: Poly, q: Poly) -> Fraction:
         """<p, q> divided by Gamma(alpha): sum_b q_b <p, x^b>."""
         row = self._gram_row(p, len(q.coeffs))
-        return sum((qb * row[b] for b, qb in enumerate(q.coeffs) if qb != 0), Fraction(0))
+        den, qc = self._cleared(q.coeffs)
+        return Fraction(sum(qb * row[b] for b, qb in enumerate(qc) if qb),
+                        den * self._row_den * self._q * self._wden)
 
 
 def closed_form_moment(spec: FamilySpec, kappa_row: Sequence, k: int, u: int) -> Fraction:

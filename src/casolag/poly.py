@@ -19,7 +19,8 @@ the class has one, a ``__repr__`` in the ``Name(field=value, ...)`` form,
 and an ``__eq__`` between instances of the same class.  A field whose name
 starts with ``_`` is left out of the repr, the comparison and the hash.
 With ``frozen=True`` assignment raises ``AttributeError`` and instances
-hash by their fields; otherwise they are unhashable.  It builds no code at
+hash by their fields, a ``dict`` field by its items in any order, so the
+hash agrees with ``==``; otherwise they are unhashable.  It builds no code at
 run time and imports nothing, so a casolag process loads little of the
 standard library beyond ``argparse``, ``json``, ``fractions``, ``math``,
 ``functools`` and ``re``.  The standard library's ``asdict``, ``replace`` and
@@ -97,7 +98,8 @@ def record(cls=None, *, frozen: bool = False):
 
         cls.__setattr__ = __setattr__
         cls.__delattr__ = __delattr__
-        cls.__hash__ = lambda self: hash(_fields(self))
+        cls.__hash__ = lambda self: hash(tuple(
+            frozenset(v.items()) if isinstance(v, dict) else v for v in _fields(self)))
     return cls
 
 

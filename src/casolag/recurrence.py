@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import count, islice
 from math import gcd, lcm
 
-from .family import FamilySpec, q_beta
+from .family import FamilySpec, q_rung
 from .linalg import solve_linear
 from .poly import Poly, clear_denominators, rat_str, record
 
@@ -146,13 +146,9 @@ def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung]) -> tuple
 
 
 def _extend_ladder(spec: FamilySpec, betas: list[Rung], top: int) -> list[Rung]:
-    """Append q_beta(spec, k), as a primitive integer row b and the scale
-    with b = scale * beta, to betas for k = len(betas)..top, in order, so
+    """Append q_rung(spec, k) to betas for k = len(betas)..top, in order, so
     DegenerateFamily names the first k with Omega(k) = 0."""
-    for k in range(len(betas), top + 1):
-        den, ints = clear_denominators(q_beta(spec, k))
-        g = gcd(*ints)
-        betas.append((tuple(b // g for b in ints), Fraction(den, g)))
+    betas.extend(q_rung(spec, k) for k in range(len(betas), top + 1))
     return betas
 
 

@@ -2,6 +2,7 @@ import json
 import pathlib
 import re
 import shlex
+import sys
 from importlib import resources
 
 import jsonschema
@@ -509,6 +510,44 @@ def test_config_rejected(cfg, capsys, config):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(config, load_schema("family.json"))
     code, out, err = run(capsys, "check", "--config", cfg(config))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "config"
+
+
+# configs that the schema accepts but that name one seed, or one key, twice:
+# json and int(g) would otherwise keep the last value without a word
+@pytest.mark.parametrize("text,message", [
+    ('{"alpha": "7", "G": [1], "R": {"1": "x+3", "01": "x+5"}}',
+     'R names one seed twice, keys ["1", "01"]'),
+    ('{"alpha": "7", "G": [1], "R": {"1": "x+3", "1": "x+5"}}', 'key "1" given twice'),
+    ('{"alpha": "7", "alpha": "7", "G": [1], "R": {"1": "x+3"}}', 'key "alpha" given twice'),
+    ('{"preset": "krall", "alpha": 3, "m": 3, "m": 3, "a": ["1", "1/2", "2"]}',
+     'key "m" given twice'),
+], ids=["R-1-and-01", "R-1-twice", "alpha-twice", "preset-m-twice"])
+def test_config_naming_a_seed_twice_rejected(tmp_path, capsys, text, message):
+    jsonschema.validate(json.loads(text), load_schema("family.json"))
+    path = tmp_path / "family.json"
+    path.write_text(text)
+    for argv in (("check",), ("qpoly", "--nmax", "2")):
+        code, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": {
+            "kind": "config", "message": f"invalid family config: {message}"}}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        casolag.family.spec_from_json(text)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter reads integers of any length")
+def test_config_integer_beyond_digit_limit_rejected(tmp_path, capsys):
+    # json.load raises a plain ValueError for an integer literal longer than
+    # the interpreter's digit limit
+    path = tmp_path / "family.json"
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text('{"alpha": ' + digits + ', "G": [1], "R": {"1": "x-1"}}')
+    code, out, err = run(capsys, "check", "--config", str(path))
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "config"

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from casolag import (BilinearForm, FamilySpec, Poly, VariantError,
                      closed_form_moment, kappa_matrix, kappa_solve, laguerre,
                      ortho_check, parse_poly, poch, q_poly, u_function,
                      u_function_alt)
+from casolag.forms import _seed_weights, _seed_ws
 from casolag.special import to_binomial_basis
 
 
@@ -179,13 +181,41 @@ coeff = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 polys = st.lists(coeff, max_size=8).map(Poly)
 
 
-@pytest.mark.parametrize("variant", ["generic", "xi"])
-def test_inner_memo_matches_fresh_form(variant, nonsegment_spec, integer_alpha_spec):
+def fraction_gram_row(form, p, n):
+    """<p, x^b> for b < n by the module docstring's Gram row, in Fractions:
+    the reference for the form's integer row."""
+    spec, m = form.spec, form.spec.m
+    alpha, ls = spec.alpha, range(spec.max_g + 1)
+    ws = _seed_ws(spec)
+    row = []
+    for b in range(n):
+        if b < m:
+            W = _seed_weights(spec, ws, form.kappa.row(b))
+            gram = [sum((poch(alpha - l, a) * W[l] for l in ls), F(0))
+                    for a in range(len(p.coeffs))]
+        else:
+            gram = [math.perm(b, form._d) * poch(alpha, a + b - m + 1)
+                    for a in range(len(p.coeffs))]
+        row.append(sum((pa * g for pa, g in zip(p.coeffs, gram)), F(0)))
+    return row
+
+
+def form_case(case, nonsegment_spec, integer_alpha_spec, segment_spec):
+    """(spec, variant): alpha = 7, the xi form at alpha = 1, and alpha = 22/7."""
+    return {"generic": (nonsegment_spec, "generic"), "xi": (integer_alpha_spec, "xi"),
+            "rational": (segment_spec, "generic")}[case]
+
+
+@pytest.mark.parametrize("variant", ["generic", "xi", "rational"])
+def test_inner_memo_matches_fresh_form(variant, nonsegment_spec, integer_alpha_spec,
+                                       segment_spec):
     # one form across all examples, so its Gram row memo sees p switch back
     # and forth, p replaced by an equal but distinct Poly, and rows extended
-    # by a q longer than any the form has paired before
-    spec = nonsegment_spec if variant == "generic" else integer_alpha_spec
+    # by a q longer than any the form has paired before; after each pairing
+    # the memoised integer row, over its denominator, is the Fraction row
+    spec, variant = form_case(variant, nonsegment_spec, integer_alpha_spec, segment_spec)
     form = BilinearForm(spec, None, variant)
+    q_den = spec.alpha.denominator
     longest = 0
 
     def fresh(p, q):
@@ -203,26 +233,41 @@ def test_inner_memo_matches_fresh_form(variant, nonsegment_spec, integer_alpha_s
         for p, q in [(p1, qs[0]), (p2, qs[1]), (p1, qs[2]), (other, qs[1]),
                      (p2, longer), (p1, qs[0]), (other, longer)]:
             assert form.inner(p, q) == fresh(p, q)
+            row = form._row
+            assert len(row) >= len(q.coeffs) and all(type(v) is int for v in row)
+            assert [F(v, form._row_den * q_den ** (b + 1) * form._wden)
+                    for b, v in enumerate(row)] == fraction_gram_row(form, p, len(row))
 
     check()
 
 
-@pytest.mark.parametrize("variant", ["generic", "xi"])
+@pytest.mark.parametrize("variant", ["generic", "xi", "rational"])
 def test_column_running_pochhammer_matches_poch(variant, nonsegment_spec,
-                                                integer_alpha_spec):
-    spec = nonsegment_spec if variant == "generic" else integer_alpha_spec
-    alpha, ls = spec.alpha, range(spec.max_g + 1)
+                                                integer_alpha_spec, segment_spec):
+    # every table is integers over q^a (alpha = p/q) and the weights' _wden
+    spec, variant = form_case(variant, nonsegment_spec, integer_alpha_spec, segment_spec)
+    alpha, q, ls = spec.alpha, spec.alpha.denominator, range(spec.max_g + 1)
     form = BilinearForm(spec, None, variant)
+    ws = _seed_ws(spec)
     n = 12
     for b in range(spec.m):  # columns grown in two steps, to different lengths
         form._column(b, 3 + b)
     for b in range(spec.m):
+        W = _seed_weights(spec, ws, form.kappa.row(b))
+        assert [F(w, form._wden) for w in form._weights[b]] == W
         col = form._column(b, n)
         for a in range(n):
-            assert col[a] == sum((poch(alpha - l, a) * form._weights[b][l] for l in ls), F(0))
+            assert type(col[a]) is int
+            assert F(col[a], q ** a * form._wden) == sum(
+                (poch(alpha - l, a) * W[l] for l in ls), F(0))
     for a in range(n):
-        assert form._pochs[a] == tuple(poch(alpha - l, a) for l in ls)
+        assert all(type(r) is int for r in form._pochs[a])
+        assert tuple(F(r, q ** a) for r in form._pochs[a]) == tuple(
+            poch(alpha - l, a) for l in ls)
+    moments = form._moments_to(2 * n)
+    assert [F(g, q ** s) for s, g in enumerate(moments)] == [
+        poch(alpha, s) for s in range(len(moments))]
     # at integer alpha = 1 the factor alpha - l reaches 0, after which
-    # (alpha-l)_a stays 0; at alpha = 7 > maxG it never does
+    # (alpha-l)_a stays 0; at alpha = 7 > maxG and at 22/7 it never does
     zeros = [(l, a) for l in ls for a in range(n) if form._pochs[a][l] == 0]
     assert bool(zeros) == (variant == "xi")

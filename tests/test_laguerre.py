@@ -1,9 +1,13 @@
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from casolag import Poly, binom_rat, laguerre, parse_poly, poch
+from casolag import (DegenerateFamily, FamilySpec, Poly, binom_rat, laguerre, parse_poly,
+                     poch, q_poly)
+from casolag.family import q_beta
+from casolag.laguerre import laguerre_ints
 
 ALPHAS = (F(7), F(3, 2), F(22, 7), F(1), F(0), F(-1, 3))
 
@@ -39,6 +43,53 @@ def test_laguerre_matches_closed_form():
                            / (math.factorial(n - j) * math.factorial(j))
                            for j in range(n + 1)])
             assert laguerre(n, alpha) == closed
+
+
+def ratio_laguerre(n, alpha):
+    """L_n^alpha in Fractions, top down from c_n = (-1)^n/n! by the ratio of
+    consecutive terms, c_j = -c_(j+1) (j+1)(alpha+j+1)/(n-j), which never
+    divides by alpha+j+1: the reference for the integer numerators."""
+    coeffs = [F((-1) ** n, math.factorial(n))]
+    for j in range(n - 1, -1, -1):
+        coeffs.append(-coeffs[-1] * (j + 1) * (alpha + j + 1) / (n - j))
+    return Poly(coeffs[::-1])
+
+
+# integer, negative integer (where L_n loses its low terms) and rational alpha
+alphas = st.one_of(st.integers(0, 12).map(F), st.integers(-12, -1).map(F),
+                   st.builds(F, st.integers(-40, 40), st.integers(2, 9)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30), alphas)
+def test_laguerre_ints_match_ratio_recurrence(n, alpha):
+    ints = laguerre_ints(n, alpha.numerator, alpha.denominator)
+    assert len(ints) == n + 1 and all(type(c) is int for c in ints)
+    ref = ratio_laguerre(n, alpha)
+    assert Poly(ints) == math.factorial(n) * alpha.denominator ** n * ref
+    assert laguerre(n, alpha) == ref
+
+
+SEEDS = [{1: "x-1", 2: "x^2+1", 5: "x^5+x^4+x^3+1"}, {2: "x^2+1", 3: "x^3+x"},
+         {1: "x+2", 2: "x^2", 4: "x^4+1"}, {1: "1/2*x-2/3", 3: "3*x^3-1/5*x"},
+         {2: "x^2", 3: "x^3"}]  # the last has Omega(1) = 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 16), alphas, st.sampled_from(SEEDS))
+def test_q_poly_matches_reference_laguerre_sum(n, alpha, seeds):
+    # q_n, summed in integers, against sum_j beta_(n,j) L_(n-j) in Fractions
+    spec = FamilySpec(alpha, tuple(seeds), {g: parse_poly(r) for g, r in seeds.items()})
+    try:
+        betas = q_beta(spec, n)
+    except DegenerateFamily:
+        with pytest.raises(DegenerateFamily):
+            q_poly(spec, n)
+        return
+    expected = Poly.zero()
+    for j, b in enumerate(betas):
+        expected = expected + b * ratio_laguerre(n - j, alpha)
+    assert q_poly(spec, n) == expected
 
 
 def test_laguerre_ode():

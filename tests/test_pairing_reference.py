@@ -135,6 +135,10 @@ def test_variant_error_outside_range(variant, alpha, seeds):
     ("generic", F(7), NONSEGMENT),
     ("xi", F(1), INTEGER_ALPHA),
     ("xi", F(2), WIDE),
+    # rational alpha: every integer table of the form and of the q ladder
+    # carries powers of alpha's denominator
+    ("generic", F(22, 7), SEGMENT),
+    ("generic", F(-5, 2), NONSEGMENT),
 ])
 def test_ortho_check_entries_match_reference(variant, alpha, seeds):
     # every pairing of the triangle goes through the form's memoised Gram

@@ -129,6 +129,20 @@ def test_kappa_matrix_hashes_by_value():
     assert KappaMatrix(((F(2),),)) != a
 
 
+def test_family_spec_hashes_by_value():
+    # R is a dict: the hash reads its items whatever their order, as == does
+    R = {1: X1, 2: Poly((1, 0, 1))}
+    a = FamilySpec(7, (1, 2), R)
+    b = FamilySpec(F(7), [1, 2], {2: Poly((1, 0, 1)), "1": Poly(X1.coeffs)})
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and {a: "spec"}[b] == "spec"
+    others = [FamilySpec(F(15, 2), (1, 2), R),
+              FamilySpec(7, (1, 3), {1: X1, 3: Poly((0, 0, 0, 1))}),
+              FamilySpec(7, (1, 2), {1: X1, 2: Poly((2, 0, 1))})]
+    assert len({a, *others}) == 4
+    assert all(o not in {a: 0} for o in others)
+
+
 def test_probe_result_equality_ignores_engine_state():
     basis = [Poly.one()]
     a = AlgebraProbeResult(1, 1, 12, basis, _betas=[((1,), F(1))], _residuals=[{}])
