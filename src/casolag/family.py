@@ -32,7 +32,7 @@ from .linalg import det_int, solve_linear, InconsistentSystem
 from .parsing import parse_poly
 from .poly import (Poly, as_rat, clear_denominators, integer_roots, rat_str, record,
                    render)
-from .special import binom_poly, poch
+from .special import _shifted_values, binom_poly, casoratian, poch
 
 
 class DegenerateFamily(Exception):
@@ -43,6 +43,16 @@ class InvalidPreset(ValueError):
     """Preset parameters outside their validity range."""
 
 
+def _degree(g) -> int:
+    """A degree of G or key of R: an int other than a bool, or its decimal
+    text; int() would round 1.7 and read True as 1."""
+    if isinstance(g, str) and g.isdecimal():
+        g = int(g)
+    if not isinstance(g, int) or isinstance(g, bool):
+        raise ValueError(f"G entries and R keys must be integers, got {g!r}")
+    return g
+
+
 @record(frozen=True)
 class FamilySpec:
     alpha: Fraction
@@ -51,7 +61,7 @@ class FamilySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_rat(self.alpha))
-        G = tuple(int(g) for g in self.G)
+        G = tuple(_degree(g) for g in self.G)
         if not G:
             raise ValueError("G must be nonempty")
         if any(g <= 0 for g in G):
@@ -59,7 +69,7 @@ class FamilySpec:
         if any(G[i] >= G[i + 1] for i in range(len(G) - 1)):
             raise ValueError("G must be strictly increasing")
         object.__setattr__(self, "G", G)
-        R = {int(g): p for g, p in self.R.items()}
+        R = {_degree(g): p for g, p in self.R.items()}
         if set(R) != set(G):
             raise ValueError("R must have exactly one seed per element of G")
         for g, p in R.items():
@@ -106,8 +116,6 @@ class AdmissibilityCertificate:
 
 def omega(spec: FamilySpec) -> Poly:
     """det(R_{g_l}(x-j))_{l,j=1..m}; the casoratian of the seeds at x-1."""
-    from .special import casoratian
-
     return casoratian(spec.seeds()).translate(-1)
 
 
@@ -137,32 +145,22 @@ def beta(spec: FamilySpec, n: int) -> BetaRow:
 
     beta_{n,j} = (-1)^j det of the matrix with column i=j deleted; the
     alternating sum sum_j beta_{n,j} R_g(n-j) vanishes for every g in G,
-    and beta_{n,0} = Omega(n), beta_{n,m} = (-1)^m Omega(n+1).  Each seed
-    is scaled to integer coefficients by the lcm of its denominators, so
-    the minors are integer determinants (det_int), divided once by the
-    product of those lcms.
+    and beta_{n,0} = Omega(n), beta_{n,m} = (-1)^m Omega(n+1).  The value
+    matrix is the Casoratian's, in integers (special._shifted_values), so
+    the minors are integer determinants (det_int), divided once by its
+    scale.
     """
     if n < 0:
         raise ValueError("needs n >= 0")
-    m = spec.m
-    scale, vals = 1, []  # vals[l][i] = lcm_l * R_{g_l}(n-i)
-    for g in spec.G:
-        lcm, ints = clear_denominators(spec.R[g].coeffs)
-        row = []
-        for i in range(m + 1):
-            v = 0
-            for c in reversed(ints):
-                v = v * (n - i) + c
-            row.append(v)
-        vals.append(row)
-        scale *= lcm
+    scale, vals = _shifted_values(spec.seeds(), n, spec.m + 1)
     return BetaRow(n, tuple(
         Fraction((-1) ** j * det_int([row[:j] + row[j + 1:] for row in vals]), scale)
-        for j in range(m + 1)))
+        for j in range(spec.m + 1)))
 
 
-def q_beta(spec: FamilySpec, n: int) -> tuple[Fraction, ...]:
-    """beta_{n,0..min(m,n)}: q_n's coefficients on L_n, ..., L_{n-min(m,n)}.
+def q_rung(spec: FamilySpec, n: int) -> tuple[tuple[int, ...], Fraction]:
+    """q_n's coefficients beta_{n,0..min(m,n)} on L_n, ..., L_{n-min(m,n)},
+    as a primitive integer row b and the positive scale with b = scale * beta.
 
     Raises DegenerateFamily when Omega(n) = 0, because then beta_{n,0} = 0
     and the degree drops below n.
@@ -170,13 +168,7 @@ def q_beta(spec: FamilySpec, n: int) -> tuple[Fraction, ...]:
     values = beta(spec, n).values
     if values[0] == 0:
         raise DegenerateFamily(f"Omega({n}) = 0: q_{n} would lose degree")
-    return values[:min(spec.m, n) + 1]
-
-
-def q_rung(spec: FamilySpec, n: int) -> tuple[tuple[int, ...], Fraction]:
-    """q_beta(spec, n) as a primitive integer row b and the positive scale
-    with b = scale * beta."""
-    den, ints = clear_denominators(q_beta(spec, n))
+    den, ints = clear_denominators(values[:min(spec.m, n) + 1])
     g = math.gcd(*ints)
     return tuple(b // g for b in ints), Fraction(den, g)
 

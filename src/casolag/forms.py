@@ -303,6 +303,8 @@ def ortho_check(spec: FamilySpec, form: BilinearForm, nmax: int) -> OrthoReport:
 
     Pairs q_n with q_0..q_n in that order, so the form builds q_n's Gram row
     once and each pairing is one dot product."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     qs = [q_poly(spec, n) for n in range(nmax + 1)]
     entries = []
     violation = None

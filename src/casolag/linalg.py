@@ -120,14 +120,3 @@ def det_int(M: Sequence[Sequence[int]]) -> int:
     pivots, sign, last = _eliminate([list(row) for row in M], n)
     return sign * last if len(pivots) == n else 0
 
-
-def det_rat(M: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix: each row is scaled to
-    integers by the lcm of its denominators, det_int eliminates, and the
-    product of those lcms divides once at the end."""
-    ints, scale = [], 1
-    for row in M:
-        lcm, row = clear_denominators(row)
-        ints.append(row)
-        scale *= lcm
-    return Fraction(det_int(ints), scale)

@@ -179,6 +179,8 @@ def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
         n_range = range(0, n_range + 1)
     if not n_range:
         raise ValueError(f"empty row range {n_range}: needs at least one row")
+    if min(n_range) < 0:
+        raise ValueError(f"row range {n_range} reaches n = {min(n_range)}: needs n >= 0")
     betas = _extend_ladder(spec, [], max(n_range) + Q.degree)
     rows = {}
     for n in n_range:
@@ -348,6 +350,8 @@ def algebra_probe(spec: FamilySpec, d: int, band: int | None = None,
         raise ValueError("degree cap must be >= 0")
     B = d if band is None else band
     N = (2 * d + spec.max_g + 10) if n_max is None else n_max
+    if B < 0 or N < 0:
+        raise ValueError(f"band and n_max must be >= 0, got band={B}, n_max={N}")
     betas: list[Rung] = []
     residuals = list(islice(_monomial_residuals(spec, betas, range(N + 1), B), d + 1))
     rows = []
@@ -375,6 +379,8 @@ def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10
     added only up to the degree of the element being checked, so the
     ladder reaches n_max + extra + deg Q and no further.
     """
+    if extra < 0:
+        raise ValueError(f"extra must be >= 0, got {extra}")
     N = result.n_max + extra
     more = _monomial_residuals(spec, list(result._betas), range(result.n_max + 1, N + 1),
                                result.band)

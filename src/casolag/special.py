@@ -1,6 +1,11 @@
 """Pochhammer symbols, generalized binomials, the binomial basis
 binom(x+l, l), and Casoratian determinants.
 
+Seeds are evaluated at integers in one place, _shifted_values: each is
+scaled to integer coefficients, so the Casoratian's value matrices, the beta
+rows' minors (family.beta) and the binomial-basis weights all start from
+integer values and build Fractions only for what they return.
+
 Gamma functions never appear alone in this package: the moments of the
 Laguerre weight, normalized by Gamma(alpha), are the Pochhammer symbols
 (alpha)_s = Gamma(alpha+s)/Gamma(alpha), which keeps the entire computation
@@ -13,8 +18,8 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .linalg import det_rat
-from .poly import Poly, as_rat
+from .linalg import det_int
+from .poly import Poly, as_rat, clear_denominators
 
 
 def poch(a, n: int) -> Fraction:
@@ -49,20 +54,18 @@ def binom_poly(l: int) -> Poly:
 def to_binomial_basis(p: Poly) -> list[Fraction]:
     """Coefficients w with p = sum_l w[l]*binom_poly(l).
 
-    The change of basis is triangular: binom_poly(l) has degree l and
-    leading coefficient 1/l!, so peel from the top degree downward.
+    binom(x+l, l) vanishes at x = -1..-l and is (-1)^l binom(k, l) at
+    x = -1-k, so the weights are the inverse binomial transform of the
+    values p(-1-k), k = 0..deg p: w_l = sum_{k<=l} (-1)^k binom(l, k)
+    p(-1-k), taken by differences on the integer values of the cleared p.
     """
     if p.is_zero():
         return [Fraction(0)]
-    d = p.degree
-    w = [Fraction(0)] * (d + 1)
-    rest = p
-    for l in range(d, -1, -1):
-        w[l] = rest.coeff(l) * math.factorial(l)
-        if w[l] != 0:
-            rest = rest - w[l] * binom_poly(l)
-    assert rest.is_zero()
-    return w
+    lcm, (v,) = _shifted_values([p], -1, p.degree + 1)  # v[k] = lcm * p(-1-k)
+    for l in range(1, len(v)):
+        for k in range(len(v) - 1, l - 1, -1):
+            v[k] = v[k - 1] - v[k]
+    return [Fraction(c, lcm) for c in v]
 
 
 def from_binomial_basis(w: Sequence) -> Poly:
@@ -75,30 +78,51 @@ def from_binomial_basis(w: Sequence) -> Poly:
     return out
 
 
+def _shifted_values(polys: Sequence[Poly], x: int, width: int) -> tuple[int, list[list[int]]]:
+    """(scale, rows) with rows[i][j] = lcm_i * p_i(x - j), j < width, in
+    integers: lcm_i clears p_i's denominators, and scale is their product."""
+    scale, rows = 1, []
+    for p in polys:
+        lcm, ints = clear_denominators(p.coeffs)
+        row = [0] * width
+        for c in reversed(ints):  # Horner at x, x-1, ..., x-width+1 at once
+            row = [v * (x - j) + c for j, v in enumerate(row)]
+        rows.append(row)
+        scale *= lcm
+    return scale, rows
+
+
 def casoratian(polys: Sequence[Poly]) -> Poly:
     """Shifted-argument determinant det(p_i(x-j)), i = 1..s, j = 0..s-1.
 
     The discrete analogue of the Wronskian.  Taking backward differences of
     the columns shows deg <= D = sum(deg p_i) - s(s-1)/2, with equality for
     pairwise distinct degrees; a repeated degree forces a strictly smaller
-    one.  The determinant is therefore interpolated exactly, in Newton form,
-    from its values at x = 0..D.
+    one, and D < 0 forces zero.  The determinant is therefore interpolated
+    exactly from its values at x = 0..D, all in integers: det_int of the
+    cleared seed values, forward differences, and the Newton form times D!
+    by Horner, divided once per coefficient.
     """
     s = len(polys)
     if s < 1:
         raise ValueError("casoratian needs at least one polynomial")
-    if any(p.is_zero() for p in polys):
-        return Poly.zero()
     D = sum(p.degree for p in polys) - s * (s - 1) // 2
-    c = [det_rat([[p(x - j) for j in range(s)] for p in polys]) for x in range(D + 1)]
-    # divided differences on the nodes 0..D, in place: c[k] = f[0, ..., k]
+    if D < 0:  # also when a seed is zero, of degree -inf
+        return Poly.zero()
+    # vals[i][D-x+j] = lcm_i * p_i(x-j): the columns of every node x = 0..D
+    scale, vals = _shifted_values(polys, D, D + s)
+    c = [det_int([row[D - x:D - x + s] for row in vals]) for x in range(D + 1)]
+    # forward differences on the nodes 0..D, in place: c[k] = k! f[0, ..., k]
     for k in range(1, D + 1):
         for i in range(D, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / k
-    out = Poly.zero()
+            c[i] -= c[i - 1]
+    # D! f = sum_k c[k] D!/k! x(x-1)...(x-k+1), nested from k = D down
+    out, f = [], 1
     for k in range(D, -1, -1):
-        out = out * Poly((-k, 1)) + c[k]
-    return out
+        out = [a - k * b for a, b in zip([0] + out, out + [0])]
+        out[0] += c[k] * f
+        f *= k
+    return Poly(Fraction(v, scale * math.factorial(D)) for v in out)
 
 
 def combinatorial_identity_check(alpha: int, k: int, l: int, u_max: int) -> bool:

@@ -1,7 +1,7 @@
-"""β rows and det_rat against the Fraction elimination they replaced.
+"""β rows and det_int against the Fraction elimination they replaced.
 
-`reference_det` is the old det_rat: Gaussian elimination over Fraction,
-dividing by each pivot.  `reference_beta` is the old family.beta: every
+`reference_det` is Gaussian elimination over Fraction, dividing by each
+pivot.  `reference_beta` is the old family.beta: every
 signed maximal minor of the Fraction value matrix (R_g(n-i)) taken by
 reference_det.  The fast paths clear denominators and eliminate
 fraction-free on integers (linalg.det_int), so they share no arithmetic
@@ -13,7 +13,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from casolag import FamilySpec, Poly, beta
-from casolag.linalg import det_int, det_rat
+from casolag.linalg import det_int
+from casolag.poly import clear_denominators
 
 from test_expansion_reference import FAMILIES
 
@@ -77,8 +78,15 @@ small = st.one_of(st.just(F(0)), coeff)
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 5).flatmap(
     lambda n: st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_det_rat_matches_reference(M):
-    assert det_rat(M) == reference_det(M)
+def test_det_int_of_cleared_rows_matches_reference(M):
+    # a rational determinant as the β rows and the Casoratian take it: each
+    # row scaled to integers by the lcm of its denominators, one division
+    ints, scale = [], 1
+    for row in M:
+        lcm, row = clear_denominators(row)
+        ints.append(row)
+        scale *= lcm
+    assert F(det_int(ints), scale) == reference_det(M)
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,10 +25,9 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from casolag import (FamilySpec, Poly, algebra_probe, degenerate_preset,
-                     expand_in_q, krall_preset, parse_poly, q_poly,
-                     recurrence_table, reverify_probe)
-from casolag.family import q_beta
+from casolag import (DegenerateFamily, FamilySpec, Poly, algebra_probe, beta,
+                     degenerate_preset, expand_in_q, krall_preset, parse_poly,
+                     q_poly, recurrence_table, reverify_probe)
 from casolag.poly import clear_denominators
 from casolag.recurrence import (_back_substitute, _coefficients, _extend_ladder,
                                 _first_outside, _x_step)
@@ -58,6 +57,15 @@ def q_ladder(name, top):
     return qs
 
 
+def fraction_rung(spec, n):
+    """beta_{n,0..min(m,n)}, q_n's Fraction coefficients on L_n, ...,
+    L_{n-min(m,n)}; DegenerateFamily when Omega(n) = 0."""
+    values = beta(spec, n).values
+    if values[0] == 0:
+        raise DegenerateFamily(f"Omega({n}) = 0")
+    return values[:min(spec.m, n) + 1]
+
+
 def reference_x_step(alpha, lo, w):
     """The window of x * sum_i w_i L_{lo+i}: one entry wider at each end, or
     only at the top when lo = 0."""
@@ -75,8 +83,8 @@ def reference_x_step(alpha, lo, w):
 
 def reference_back_substitute(lo, w, betas, stop=0):
     """Peel the q_k off sum_i w_i L_{lo+i}, top down, for every k >= stop,
-    through the Fraction rows betas[k] = q_beta(spec, k): the coefficient
-    window and the residual window below stop."""
+    through the Fraction rows betas[k] = fraction_rung(spec, k): the
+    coefficient window and the residual window below stop."""
     hi = lo + len(w)
     rest = list(reversed(w))
     c = []
@@ -217,7 +225,7 @@ def test_integer_engine_matches_fraction_reference(name, lo, w, data):
     assert as_fractions(_x_step(spec.alpha, lo, ints, den)) == (xlo, xw)
     stop = data.draw(st.integers(0, xlo + len(xw)), label="stop")
     rungs = _extend_ladder(spec, [], xlo + len(xw) - 1)
-    rows = [q_beta(spec, k) for k in range(len(rungs))]
+    rows = [fraction_rung(spec, k) for k in range(len(rungs))]
     c, r = _back_substitute(*_x_step(spec.alpha, lo, ints, den), rungs, stop)
     ref_c, ref_r = reference_back_substitute(xlo, xw, rows, stop)
     assert _coefficients(c, rungs) == ref_c
@@ -236,7 +244,7 @@ def test_integer_engine_peels_exact_combinations(name, top, cs, tail, data):
     # entries must still be brought to the denominator of the last step
     spec = FAMILIES[name]
     top += len(cs) - 1
-    rows = [q_beta(spec, k) for k in range(top + 1)]
+    rows = [fraction_rung(spec, k) for k in range(top + 1)]
     w = {}
     for i, c in enumerate(cs):
         for j, b in enumerate(rows[top - i]):

@@ -26,6 +26,18 @@ def test_spec_validation():
         FamilySpec(F(1), (1, 2), {1: parse_poly("x")})  # missing seed
 
 
+@pytest.mark.parametrize("G, R", [
+    ((1.7, 2), {1.7: "x", 2: "x^2"}),
+    ((True, 2), {True: "x", 2: "x^2"}),
+    ((F(1), 2), {1: "x", 2: "x^2"}),
+    ((1, 2), {1: "x", 2.0: "x^2"}),
+])
+def test_spec_degrees_must_be_ints(G, R):
+    # int() used to turn each of these into G = (1, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        FamilySpec(F(7), G, {g: parse_poly(r) for g, r in R.items()})
+
+
 def test_omega_oracle_nonsegment(nonsegment_spec):
     assert render(omega(nonsegment_spec)) == \
         "-12*x^5+144*x^4-628*x^3+1296*x^2-1280*x+476"

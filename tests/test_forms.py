@@ -117,6 +117,12 @@ def test_ortho_generic(nonsegment_spec):
             assert v != 0
 
 
+def test_ortho_refuses_negative_nmax(nonsegment_spec):
+    # used to pass with no entries
+    with pytest.raises(ValueError, match="got -1"):
+        ortho_check(nonsegment_spec, BilinearForm.generic(nonsegment_spec), -1)
+
+
 def test_ortho_xi(integer_alpha_spec):
     form = BilinearForm.xi(integer_alpha_spec)
     report = ortho_check(integer_alpha_spec, form, 8)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from casolag import (DegenerateFamily, FamilySpec, Poly, binom_rat, laguerre, parse_poly,
                      poch, q_poly)
-from casolag.family import q_beta
 from casolag.laguerre import laguerre_ints
+
+from test_expansion_reference import fraction_rung
 
 ALPHAS = (F(7), F(3, 2), F(22, 7), F(1), F(0), F(-1, 3))
 
@@ -81,7 +82,7 @@ def test_q_poly_matches_reference_laguerre_sum(n, alpha, seeds):
     # q_n, summed in integers, against sum_j beta_(n,j) L_(n-j) in Fractions
     spec = FamilySpec(alpha, tuple(seeds), {g: parse_poly(r) for g, r in seeds.items()})
     try:
-        betas = q_beta(spec, n)
+        betas = fraction_rung(spec, n)
     except DegenerateFamily:
         with pytest.raises(DegenerateFamily):
             q_poly(spec, n)

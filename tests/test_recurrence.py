@@ -203,6 +203,18 @@ def test_empty_row_range_is_named(call, empty, nonsegment_spec):
     assert str(e.value) == f"empty row range {empty}: needs at least one row"
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda spec: recurrence_table(spec, Poly.x(), range(-3, 2)), "n = -3"),
+    (lambda spec: algebra_probe(spec, 3, band=-2), "band=-2"),
+    (lambda spec: algebra_probe(spec, 3, n_max=-5), "n_max=-5"),
+    (lambda spec: reverify_probe(spec, algebra_probe(spec, 2), extra=-3), "got -3"),
+])
+def test_negative_sizes_are_refused(call, value, nonsegment_spec):
+    # each used to pass vacuously or fail with a bare IndexError
+    with pytest.raises(ValueError, match=value):
+        call(nonsegment_spec)
+
+
 def test_obstruction_guard_inside_integer_range(integer_alpha_spec):
     with pytest.raises(ValueError):
         obstruction_test(integer_alpha_spec, Poly.x())

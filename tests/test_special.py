@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casolag import (Poly, binom_rat, casoratian, from_binomial_basis,
                      parse_poly, poch, to_binomial_basis)
@@ -42,12 +42,37 @@ def test_binomial_basis_example():
     assert to_binomial_basis(parse_poly("x^2")) == [F(1), F(-3), F(2)]
 
 
+def reference_to_binomial_basis(p):
+    """The change of basis by peeling: binom_poly(l) has degree l and
+    leading coefficient 1/l!, so subtract from the top degree downward."""
+    if p.is_zero():
+        return [F(0)]
+    w = [F(0)] * (p.degree + 1)
+    rest = p
+    for l in range(p.degree, -1, -1):
+        w[l] = rest.coeff(l) * math.factorial(l)
+        if w[l] != 0:
+            rest = rest - w[l] * binom_poly(l)
+    assert rest.is_zero()
+    return w
+
+
 def test_from_binomial_basis_inverts():
     w = [F(1), F(-2), F(3), F(1, 2)]
     assert to_binomial_basis(from_binomial_basis(w)) == w
 
 
 rats = st.fractions(min_value=-100, max_value=100, max_denominator=20)
+
+
+@settings(max_examples=200)
+@given(st.lists(rats, min_size=0, max_size=9))
+@example([])  # zero
+@example([F(-7, 3)])  # constant
+@example([F(0), F(0), F(1, 6)])
+def test_binomial_basis_matches_peeling_reference(coeffs):
+    p = Poly(coeffs)
+    assert to_binomial_basis(p) == reference_to_binomial_basis(p)
 
 
 @given(st.lists(rats, min_size=1, max_size=6))
