@@ -3,27 +3,65 @@
 Everything runs over rationals: family construction from difference-operator
 seeds, closed-form bilinear pairings, orthogonality certification, banded
 recurrence extraction, and the eigenvalue-polynomial algebra probe.
+
+casolag.forms and casolag.recurrence load on first use.  Importing the
+package puts each in sys.modules as an importlib.util.LazyLoader module,
+compiled and run at the first attribute read, and serves their public names
+through the module __getattr__ below.  A CLI process that only checks
+admissibility or prints family members then compiles neither, and one that
+checks orthogonality does not compile recurrence: each process pays for
+the code its subcommand runs.
 """
+
+import importlib.util
+import sys
 
 from .family import (AdmissibilityCertificate, BetaRow, DegenerateFamily,
                      FamilySpec, InvalidPreset, beta, certify_admissible,
                      degenerate_preset, krall_preset, match_krall_parameters,
                      omega, q_poly, reduce_representation, spec_from_json,
                      spec_from_json_dict, spec_to_json)
-from .forms import (BilinearForm, KappaMatrix, OrthoReport, VariantError,
-                    closed_form_moment, kappa_matrix, kappa_solve, ortho_check,
-                    u_function, u_function_alt)
 from .laguerre import laguerre
 from .linalg import InconsistentSystem, LinearSolution, solve_linear
 from .parsing import ParseError, parse_poly
 from .poly import LaurentPoly, Poly, Rat, as_rat, integer_roots, rat_str, render
-from .recurrence import (AlgebraProbeResult, ObstructionResult,
-                         RecurrenceTable, RhoRecurrenceResult, ThreeTermResult,
-                         algebra_probe, expand_in_q, obstruction_test,
-                         recurrence_table, reverify_probe, rho_bound,
-                         rho_recurrence, three_term_test, verify_band)
 from .special import (binom_rat, casoratian, combinatorial_identity_check,
                       from_binomial_basis, poch, to_binomial_basis)
+
+
+def _lazy(name: str):
+    """casolag.<name>, registered in sys.modules and run on first use."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+forms = _lazy("forms")
+recurrence = _lazy("recurrence")
+
+# public name -> the lazy module that defines it
+_LAZY = {
+    **dict.fromkeys(("BilinearForm", "KappaMatrix", "OrthoReport", "VariantError",
+                     "closed_form_moment", "kappa_matrix", "kappa_solve", "ortho_check",
+                     "u_function", "u_function_alt"), forms),
+    **dict.fromkeys(("AlgebraProbeResult", "ObstructionResult", "RecurrenceTable",
+                     "RhoRecurrenceResult", "ThreeTermResult", "algebra_probe",
+                     "expand_in_q", "obstruction_test", "recurrence_table",
+                     "reverify_probe", "rho_bound", "rho_recurrence", "three_term_test",
+                     "verify_band"), recurrence),
+}
+
+
+def __getattr__(name: str):
+    # Reads through on every access and binds nothing here, so a name always
+    # resolves to what its module holds now.
+    if name in _LAZY:
+        return getattr(_LAZY[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -22,14 +22,15 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
+# forms and recurrence are lazy modules (see the package docstring): a
+# `from .forms import` here would run them, so the subcommands read their
+# names at call time.
+from . import forms, recurrence
 from .family import (AdmissibilityCertificate, DegenerateFamily, FamilySpec,
                      InvalidPreset, _unique_keys, certify_admissible, q_poly,
                      spec_from_json_dict)
-from .forms import BilinearForm, VariantError, ortho_check
 from .parsing import ParseError, parse_poly
 from .poly import Poly, rat_str, record, render
-from .recurrence import (algebra_probe, recurrence_table, reverify_probe,
-                         three_term_test, verify_band)
 
 USAGE_ERROR = 1
 VERDICT_FAIL = 2
@@ -172,8 +173,11 @@ def _pick_variant(spec: FamilySpec) -> str:
 
 def cmd_ortho(args: argparse.Namespace) -> int:
     variant = _pick_variant(args.family)
-    form = BilinearForm(args.family, None, variant)
-    report = ortho_check(args.family, form, args.nmax)
+    try:
+        form = forms.BilinearForm(args.family, None, variant)
+    except forms.VariantError as e:
+        raise CliError(str(e), "variant") from e
+    report = forms.ortho_check(args.family, form, args.nmax)
     table = Table(("n", "i", "value"), report.entries, title="Pairings",
                   colspec="rrl", heads=(r"$n$", r"$i$", "value"))
     payload = {
@@ -193,8 +197,8 @@ def cmd_recur(args: argparse.Namespace) -> int:
     if args.Q.is_zero():
         raise CliError("recur needs a nonzero --Q")
     band = args.Q.degree if args.band is None else args.band
-    rec = recurrence_table(args.family, args.Q, args.nmax)
-    ok = verify_band(rec, band)
+    rec = recurrence.recurrence_table(args.family, args.Q, args.nmax)
+    ok = recurrence.verify_band(rec, band)
     table = Table(("n", "j", "gamma"), [(n, j, g) for n, row in sorted(rec.rows.items())
                                         for j, g in sorted(row.items())])
     latex = Table(table.names, [(n, j, _latex_frac(g)) for n, j, g in table.rows],
@@ -213,7 +217,7 @@ def cmd_recur(args: argparse.Namespace) -> int:
 
 
 def cmd_three_term(args: argparse.Namespace) -> int:
-    res = three_term_test(args.family, args.nmax)
+    res = recurrence.three_term_test(args.family, args.nmax)
     table = Table(("n", "a", "b", "c"),
                   [(n, res.a[n], res.b[n], res.c[n]) for n in range(args.nmax + 1)],
                   title="Three-term coefficients", colspec="rlll",
@@ -230,8 +234,8 @@ def cmd_three_term(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    result = algebra_probe(args.family, args.deg, args.band, args.nmax)
-    ok = reverify_probe(args.family, result)
+    result = recurrence.algebra_probe(args.family, args.deg, args.band, args.nmax)
+    ok = recurrence.reverify_probe(args.family, result)
     table = Table(("index", "Q"), list(enumerate(result.basis)),
                   title="Eigenvalue algebra basis", colspec="rl",
                   heads=(r"\#", r"$Q$"))
@@ -348,9 +352,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except CliError as e:
         _error_json(e.kind, str(e))
-        return USAGE_ERROR
-    except VariantError as e:
-        _error_json("variant", str(e))
         return USAGE_ERROR
     except DegenerateFamily as e:
         _error_json("degenerate", str(e))

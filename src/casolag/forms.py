@@ -173,10 +173,10 @@ class BilinearForm:
     _pochs[a][l] / q^a and the m columns c_b[a] = _columns[b][a] /
     (q^a _wden).  They grow as longer polynomials are paired and are reused
     by every later pairing.  A one-slot memo keyed on p's coefficients holds
-    row_p[b] = _row[b] / (den_p q^(b+1) _wden), so inner(p, q) costs one
-    integer dot product with q's cleared coefficients, one Fraction, and
-    whatever entries of row_p no earlier q reached; pairing a different p
-    starts a new row.
+    row_p[b] = _row[b] / (den_p q^(b+1) _wden), and each polynomial's
+    cleared coefficients are kept once computed, so inner(p, q) costs one
+    integer dot product, one Fraction, and whatever entries of row_p no
+    earlier q reached; pairing a different p starts a new row.
 
     corrections() builds the Laurent corrections U_i themselves, which the
     pairing does not need.
@@ -203,6 +203,7 @@ class BilinearForm:
         self._columns: list[list[int]] = [[] for _ in range(spec.m)]
         self._row_key: tuple[Fraction, ...] | None = None  # p.coeffs of the row
         self._row_den, self._row_p, self._row = 1, [], []  # den_p, p's c_a, row
+        self._clears: dict[int, tuple] = {}  # id(coeffs) -> (coeffs, den, c)
 
     @classmethod
     def generic(cls, spec: FamilySpec, kappa: KappaMatrix | None = None):
@@ -239,10 +240,17 @@ class BilinearForm:
         return g
 
     def _cleared(self, coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-        """(den, c) with coeffs[a] / q^a = c[a] / den, all integers."""
-        den, q, top = math.lcm(*(c.denominator for c in coeffs)), self._q, len(coeffs) - 1
-        return den * q ** max(top, 0), [c.numerator * (den // c.denominator) * q ** (top - a)
-                                        for a, c in enumerate(coeffs)]
+        """(den, c) with coeffs[a] / q^a = c[a] / den, all integers.  Kept per
+        coefficient tuple by identity (hashing a tuple of Fractions costs
+        more than clearing it); each entry holds its tuple, so no other
+        tuple can take its id while the form keeps it."""
+        hit = self._clears.get(id(coeffs))
+        if hit is None:
+            den, q, top = math.lcm(*(c.denominator for c in coeffs)), self._q, len(coeffs) - 1
+            hit = self._clears[id(coeffs)] = (coeffs, den * q ** max(top, 0), [
+                c.numerator * (den // c.denominator) * q ** (top - a)
+                for a, c in enumerate(coeffs)])
+        return hit[1:]
 
     def _gram_row(self, p: Poly, n: int) -> list[int]:
         """den_p q^(b+1) _wden <p, x^b> for b < n at least, kept for the last

@@ -176,6 +176,8 @@ def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
     if Q.is_zero():
         raise ValueError("Q must be nonzero")
     if isinstance(n_range, int):
+        if n_range < 0:
+            raise ValueError(f"n_range must be >= 0, got {n_range}")
         n_range = range(0, n_range + 1)
     if not n_range:
         raise ValueError(f"empty row range {n_range}: needs at least one row")
@@ -254,6 +256,8 @@ def three_term_test(spec: FamilySpec, nmax: int) -> ThreeTermResult:
     Checked exactly on rows 0..nmax.  Needs nmax >= 2, otherwise nothing is
     certified: rows n <= 1 hold no coefficient below -1.
     """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     table = recurrence_table(spec, Poly.x(), nmax)
     a = [table.gamma(n, 1) for n in range(nmax + 1)]
     b = [table.gamma(n, 0) for n in range(nmax + 1)]

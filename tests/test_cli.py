@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import casolag.cli
 import casolag.family
 from casolag import Poly
 from casolag.cli import main
@@ -122,6 +123,16 @@ def test_ortho_rejects_unusable_alpha(cfg, capsys):
     assert code == 1
     assert out == ""
     assert "error" in json.loads(err)
+
+
+def test_ortho_variant_error_is_reported(cfg, capsys, monkeypatch):
+    # _pick_variant never picks a variant the form refuses; force one so the
+    # form's VariantError reaches the CLI
+    monkeypatch.setattr(casolag.cli, "_pick_variant", lambda spec: "xi")
+    code, out, err = run(capsys, "ortho", "--config", cfg(REMARK))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["kind"] == "variant"
+    assert "xi variant needs integer alpha" in json.loads(err)["error"]["message"]
 
 
 def test_recur(cfg, capsys):

@@ -1,11 +1,13 @@
-"""casolag's result types: the import graph they keep small, and the record
-semantics of poly.record (construction, repr, ==, frozen, hash).
+"""casolag's result types: the import graph they keep small (with the lazy
+modules forms and recurrence), and the record semantics of poly.record
+(construction, repr, ==, frozen, hash).
 
 The pinned reprs are those the same instances had when the classes were
 standard-library dataclasses; the field order and the fields left out of ==
 (AlgebraProbeResult's _betas and _residuals) are pinned the same way.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -14,6 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import casolag
 from casolag import (AdmissibilityCertificate, AlgebraProbeResult, BetaRow,
                      FamilySpec, KappaMatrix, LinearSolution, ObstructionResult,
                      OrthoReport, Poly, RecurrenceTable, RhoRecurrenceResult,
@@ -30,6 +33,59 @@ def test_cli_imports_no_heavy_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+LAZY = ("casolag.forms", "casolag.recurrence")
+# the nonsegment golden family
+NONSEGMENT = {"alpha": "7", "G": [1, 2, 5],
+              "R": {"1": "x-1", "2": "x^2+1", "5": "x^5+x^4+x^3+1"}}
+# subcommand -> (its golden flags, the lazy modules it runs)
+RUNS = {
+    "check": ([], []),
+    "qpoly": (["--nmax", "6"], []),
+    "preset": ([], []),
+    "ortho": (["--nmax", "16"], ["casolag.forms"]),
+    "recur": (["--Q", "x^4+16*x^3", "--nmax", "8"], ["casolag.recurrence"]),
+    "three-term": (["--nmax", "6"], ["casolag.recurrence"]),
+    "probe": (["--deg", "3"], ["casolag.recurrence"]),
+}
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_subcommand_runs_only_the_lazy_modules_it_needs(command, tmp_path):
+    # a lazy module that ran has its LazyLoader class swapped for ModuleType
+    flags, ran = RUNS[command]
+    config = tmp_path / "family.json"
+    config.write_text(json.dumps(NONSEGMENT))
+    argv = [command, *flags, "--config", str(config), "--out", str(tmp_path / "report")]
+    code = ("import sys, types; from casolag.cli import main; code = main(%r); "
+            "print(code, *(m for m in %r if type(sys.modules[m]) is types.ModuleType))"
+            % (argv, LAZY))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] in ("0", "2")  # the subcommand ran to a verdict
+    assert out[1:] == ran
+
+
+def test_public_names_resolve_through_the_package(monkeypatch):
+    for name in casolag.__all__:
+        getattr(casolag, name)
+    namespace = {}
+    exec("from casolag import *", namespace)
+    assert set(casolag.__all__) <= namespace.keys()
+    assert namespace["ortho_check"] is casolag.forms.ortho_check
+    assert namespace["algebra_probe"] is casolag.recurrence.algebra_probe
+    with pytest.raises(AttributeError, match="no_such_name"):
+        casolag.no_such_name
+    # nothing is cached in the package: a rebinding in the module (as a
+    # tracer makes and undoes) shows through, and so does its undoing
+    assert "ortho_check" not in vars(casolag)
+    original = casolag.forms.ortho_check
+    monkeypatch.setattr(casolag.forms, "ortho_check", len)
+    assert casolag.ortho_check is len
+    monkeypatch.undo()
+    assert casolag.ortho_check is original
 
 
 X1 = Poly((-1, 1))
