@@ -24,7 +24,7 @@ from .family import (AdmissibilityCertificate, BetaRow, DegenerateFamily,
 from .laguerre import laguerre
 from .linalg import InconsistentSystem, LinearSolution, solve_linear
 from .parsing import ParseError, parse_poly
-from .poly import LaurentPoly, Poly, Rat, as_rat, integer_roots, rat_str, render
+from .poly import LaurentPoly, Poly, as_rat, integer_roots, rat_str, render
 from .special import (binom_rat, casoratian, combinatorial_identity_check,
                       from_binomial_basis, poch, to_binomial_basis)
 
@@ -70,7 +70,7 @@ __all__ = [
     "BilinearForm", "DegenerateFamily", "FamilySpec", "InconsistentSystem",
     "InvalidPreset", "KappaMatrix", "LaurentPoly",
     "LinearSolution", "ObstructionResult", "OrthoReport", "ParseError",
-    "Poly", "Rat", "RecurrenceTable", "RhoRecurrenceResult",
+    "Poly", "RecurrenceTable", "RhoRecurrenceResult",
     "ThreeTermResult", "VariantError", "algebra_probe", "as_rat", "beta",
     "binom_rat", "casoratian", "certify_admissible", "closed_form_moment",
     "combinatorial_identity_check",

@@ -44,9 +44,10 @@ class InvalidPreset(ValueError):
 
 
 def _degree(g) -> int:
-    """A degree of G or key of R: an int other than a bool, or its decimal
-    text; int() would round 1.7 and read True as 1."""
-    if isinstance(g, str) and g.isdecimal():
+    """A degree of G or key of R: an int other than a bool, or its text in
+    ASCII digits; int() would round 1.7, read True as 1, and read "1_0",
+    " 1" and "+1" as numbers."""
+    if isinstance(g, str) and g.isascii() and g.isdecimal():
         g = int(g)
     if not isinstance(g, int) or isinstance(g, bool):
         raise ValueError(f"G entries and R keys must be integers, got {g!r}")
@@ -287,8 +288,8 @@ def match_krall_parameters(spec: FamilySpec) -> list[Fraction] | None:
         for hp in range(1, h):
             eta_index[(h, hp)] = len(eta_index)
     n_eta = len(eta_index)
-    n_unknown = n_eta + m
 
+    units = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for h in range(1, m + 1):
@@ -296,17 +297,12 @@ def match_krall_parameters(spec: FamilySpec) -> list[Fraction] | None:
         l_top = h - 1 if krall else h + alpha - m - 1
         # target: norm_g + sum eta * norm_lower - correction(a) = binom(x+g, g)
         base = norm[g] - binom_poly(g)
-        corr_cols = []
-        for l in range(0, l_top + 1):
-            corr_cols.append((h - l - 1,
-                              math.factorial(h - 1) * (-1) ** l / poch(alpha - l, l)))
+        # column of a_i: the a_i part of the preset's correction sum
+        corr = [_preset_seed(alpha, h, e, l_top) - binom_poly(g) for e in units]
         for t in range(g + 1):
-            row = [Fraction(0)] * n_unknown
+            row = [Fraction(0)] * n_eta + [-c.coeff(t) for c in corr]
             for hp in range(1, h):
                 row[eta_index[(h, hp)]] = norm[alpha + hp - 1].coeff(t)
-            for a_idx, scale in corr_cols:
-                bp = binom_poly(h - 1 - a_idx)  # the l with h-l-1 = a_idx
-                row[n_eta + a_idx] -= scale * bp.coeff(t)
             rows.append(row)
             rhs.append(-base.coeff(t))
     try:
@@ -386,7 +382,7 @@ def spec_from_json_dict(obj: dict) -> FamilySpec:
     alpha = _json_number(obj["alpha"], "alpha", rational=True)
     G = [_json_number(g, "G entry") for g in _json_typed(obj["G"], list, "G")]
     seeds = _json_typed(obj["R"], dict, "R")
-    R = {int(g): parse_poly(_json_typed(text, str, f"seed R[{g}]"))
+    R = {_degree(g): parse_poly(_json_typed(text, str, f"seed R[{g}]"))
          for g, text in seeds.items()}
     if len(R) < len(seeds):
         raise ValueError(f"R names one seed twice, keys {json.dumps(list(seeds))}")

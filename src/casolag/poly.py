@@ -34,8 +34,6 @@ import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-Rat = Fraction
-
 RatLike = Fraction | int | str
 
 # degree of the zero polynomial; compares below every integer
@@ -438,8 +436,8 @@ class LaurentPoly:
     """Finite Laurent polynomial: coefficients ascending from power ``low``.
 
     Normalized so the first and last stored coefficients are nonzero (the
-    zero element stores nothing).  Needed for the rational correction terms
-    of the bilinear forms, which live in span{x^-1, ..., x^-(g_max+1)}.
+    zero element stores nothing).  The value type of the bilinear forms'
+    rational corrections, which live in span{x^-1, ..., x^-(g_max+1)}.
     """
 
     __slots__ = ("low", "coeffs")
@@ -460,14 +458,6 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def term(power: int, c: RatLike) -> "LaurentPoly":
-        return LaurentPoly(power, (as_rat(c),))
-
-    @staticmethod
     def of_poly(p: Poly) -> "LaurentPoly":
         return LaurentPoly(0, p.coeffs)
 
@@ -483,9 +473,6 @@ class LaurentPoly:
         hi = max(acc)
         return LaurentPoly(lo, [acc.get(k, Fraction(0)) for k in range(lo, hi + 1)])
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, k: int) -> Fraction:
         i = k - self.low
         if 0 <= i < len(self.coeffs):
@@ -498,43 +485,8 @@ class LaurentPoly:
             if c != 0:
                 yield self.low + i, c
 
-    @property
-    def lowest(self):
-        return self.low if self.coeffs else None
-
-    @property
-    def highest(self):
-        return self.low + len(self.coeffs) - 1 if self.coeffs else None
-
-    def poly_part(self) -> Poly:
-        """The sub-sum over nonnegative powers, as a Poly."""
-        return Poly([self.coeff(k) for k in range(0, (self.highest or 0) + 1)])
-
-    def __add__(self, other):
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentPoly.from_terms(list(self.terms()) + list(other.terms()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.low, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_rat(other)
-            if c == 0:
-                return LaurentPoly()
-            return LaurentPoly(self.low, tuple(c * a for a in self.coeffs))
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         product = Poly(self.coeffs) * Poly(other.coeffs)
         return LaurentPoly(self.low + other.low, product.coeffs)
@@ -542,8 +494,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.low == other.low and self.coeffs == other.coeffs
 
@@ -555,13 +506,3 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
-
-
-def _coerce_laurent(v):
-    if isinstance(v, LaurentPoly):
-        return v
-    if isinstance(v, Poly):
-        return LaurentPoly.of_poly(v)
-    if isinstance(v, (int, Fraction)):
-        return LaurentPoly(0, (as_rat(v),))
-    return NotImplemented

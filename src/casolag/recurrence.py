@@ -38,8 +38,8 @@ and handed to the solver as integers.
 
 Membership certified by the probe is always relative to the explored range
 (rows up to N, band B).  The re-verification helper guards against
-truncation artifacts: it extends the probe's own monomial residuals to a
-longer range and checks each basis element there by linearity.
+truncation artifacts: it builds the constraint rows of the next rows the
+same way and checks each basis element against them and the probe's own.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, lcm
+from operator import mul
 
 from .family import FamilySpec, q_rung
 from .linalg import solve_linear
@@ -167,28 +168,18 @@ def expand_in_q(spec: FamilySpec, p: Poly) -> list[Fraction]:
     return [Fraction(0)] * lo + c
 
 
-def recurrence_table(spec: FamilySpec, Q: Poly, n_range) -> RecurrenceTable:
-    """gamma_{n,j} with Q q_n = sum_j gamma_{n,j} q_{n+j}, for n in n_range.
-
-    n_range is a nonempty range object or an int N >= 0 meaning 0..N
-    inclusive.
-    """
+def recurrence_table(spec: FamilySpec, Q: Poly, n_range: int) -> RecurrenceTable:
+    """gamma_{n,j} with Q q_n = sum_j gamma_{n,j} q_{n+j}, for n = 0..n_range."""
     if Q.is_zero():
         raise ValueError("Q must be nonzero")
-    if isinstance(n_range, int):
-        if n_range < 0:
-            raise ValueError(f"n_range must be >= 0, got {n_range}")
-        n_range = range(0, n_range + 1)
-    if not n_range:
-        raise ValueError(f"empty row range {n_range}: needs at least one row")
-    if min(n_range) < 0:
-        raise ValueError(f"row range {n_range} reaches n = {min(n_range)}: needs n >= 0")
-    betas = _extend_ladder(spec, [], max(n_range) + Q.degree)
+    if n_range < 0:
+        raise ValueError(f"n_range must be >= 0, got {n_range}")
+    betas = _extend_ladder(spec, [], n_range + Q.degree)
     rows = {}
-    for n in n_range:
+    for n in range(n_range + 1):
         lo, c = _coefficients(_expand(spec.alpha, Q, _q_window(betas, n), betas)[0], betas)
         rows[n] = {k - n: g for k, g in enumerate(c, lo) if g}
-    return RecurrenceTable(Q=Q, n_range=n_range, rows=rows)
+    return RecurrenceTable(Q=Q, n_range=range(n_range + 1), rows=rows)
 
 
 def _monomial_residuals(spec: FamilySpec, betas: list[Rung],
@@ -323,16 +314,29 @@ class AlgebraProbeResult:
     band: int
     n_max: int
     basis: list[Poly]
-    # the engine's beta ladder for k <= n_max + degree_cap, and _residuals[k][n]
-    # for k <= degree_cap and band < n <= n_max: the window of x^k q_n left
-    # below n - band, which reverify_probe extends instead of recomputing;
-    # as _-prefixed fields they stay out of repr and ==
+    # the engine's beta ladder for k <= n_max + degree_cap, which
+    # reverify_probe extends instead of recomputing, and the integer rows the
+    # basis solves (_constraint_rows of rows band < n <= n_max), which it
+    # checks again; as _-prefixed fields they stay out of repr and ==
     _betas: list[Rung]
-    _residuals: list[dict[int, Window]]
+    _rows: list[list[int]]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+
+def _constraint_rows(residuals: Sequence[dict[int, Window]], band: int) -> list[list[int]]:
+    """The probe's integer rows from residuals[k][n], the window of x^k q_n
+    below n - band: for each n and each t < n - band, the entries at L_t of
+    the powers k = 0, 1, ..., brought to one denominator per n."""
+    rows = []
+    for n in residuals[0]:
+        windows = [res[n] for res in residuals]
+        L = lcm(*(den for _, _, den in windows))
+        for t in range(min(lo for lo, _, _ in windows), n - band):
+            rows.append([r[t - lo] * (L // den) if t >= lo else 0 for lo, r, den in windows])
+    return rows
 
 
 def algebra_probe(spec: FamilySpec, d: int, band: int | None = None,
@@ -357,52 +361,42 @@ def algebra_probe(spec: FamilySpec, d: int, band: int | None = None,
     if B < 0 or N < 0:
         raise ValueError(f"band and n_max must be >= 0, got band={B}, n_max={N}")
     betas: list[Rung] = []
-    residuals = list(islice(_monomial_residuals(spec, betas, range(N + 1), B), d + 1))
-    rows = []
-    for n in residuals[0]:
-        windows = [res[n] for res in residuals]
-        L = lcm(*(den for _, _, den in windows))
-        for t in range(min(lo for lo, _, _ in windows), n - B):
-            rows.append([r[t - lo] * (L // den) if t >= lo else 0 for lo, r, den in windows])
+    residuals = islice(_monomial_residuals(spec, betas, range(N + 1), B), d + 1)
+    rows = _constraint_rows(list(residuals), B)
     if not rows:
         basis = [Poly.monomial(k) for k in range(d + 1)]
     else:
         basis = [Poly(vec) for vec in solve_linear(rows, None).nullspace]
     return AlgebraProbeResult(degree_cap=d, band=B, n_max=N, basis=basis,
-                              _betas=betas, _residuals=residuals)
+                              _betas=betas, _rows=rows)
 
 
 def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10) -> bool:
     """Re-check every probe basis element on rows 0..n_max + extra: no
     coefficient below -band may appear.
 
-    The probe's own monomial residuals (rows up to n_max) are extended by
-    rows n_max+1..n_max+extra over the probe's beta ladder, and each basis
-    element Q is checked on every row by linearity: its residual below
-    n - band, sum_k Q_k (residual of x^k q_n), must be zero.  Powers are
-    added only up to the degree of the element being checked, so the
-    ladder reaches n_max + extra + deg Q and no further.
+    Rows n_max+1..n_max+extra get their constraint rows as the probe's own
+    did, over the probe's beta ladder, with powers up to the largest basis
+    degree, so the ladder reaches n_max + extra + that degree and no
+    further.  Each basis element Q passes when its coefficients, cleared of
+    denominators, dot to 0 with every new row and with every row of the
+    probe's own system, which re-checks the solver's nullspace.  False when
+    n_max + extra <= band: only a row n > band can hold a coefficient below
+    -band, so nothing would be checked.
     """
     if extra < 0:
         raise ValueError(f"extra must be >= 0, got {extra}")
     N = result.n_max + extra
-    more = _monomial_residuals(spec, list(result._betas), range(result.n_max + 1, N + 1),
-                               result.band)
-    residuals: list[dict[int, Window]] = []  # residuals[k][n] of x^k q_n
+    if N <= result.band:
+        return False
+    top = max(Q.degree for Q in result.basis)
+    more = islice(_monomial_residuals(spec, list(result._betas),
+                                      range(result.n_max + 1, N + 1), result.band), top + 1)
+    rows = result._rows + _constraint_rows(list(more), result.band)
     for Q in result.basis:
-        while len(residuals) <= Q.degree:
-            residuals.append({**result._residuals[len(residuals)], **next(more)})
-        terms = [(k, a) for k, a in enumerate(clear_denominators(Q.coeffs)[1]) if a]
-        for n in residuals[0]:
-            L = lcm(*(residuals[k][n][2] for k, _ in terms))
-            below: dict[int, int] = {}
-            for k, a in terms:
-                lo, r, den = residuals[k][n]
-                a *= L // den
-                for t, v in enumerate(r, lo):
-                    below[t] = below.get(t, 0) + a * v
-            if any(below.values()):
-                return False
+        a = clear_denominators(Q.coeffs)[1]
+        if any(sum(map(mul, a, row)) for row in rows):
+            return False
     return True
 
 

@@ -210,6 +210,17 @@ def test_probe(cfg, capsys):
     assert payload["reverified"] is True
 
 
+def test_probe_with_no_row_past_the_band_fails(cfg, capsys):
+    # re-verification reaches row n_max + 10 = 10 <= band: nothing is checked
+    code, out, _ = run(capsys, "probe", "--config", cfg(REMARK), "--deg", "4",
+                       "--band", "20", "--nmax", "0")
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, report_schema("probe"))
+    assert payload["basis"] == ["1", "x", "x^2", "x^3", "x^4"]
+    assert payload["reverified"] is False
+
+
 def test_probe_computes_each_beta_row_at_most_twice(cfg, capsys, monkeypatch):
     # probe --deg 8 on REMARK (the benchmark's generic family) needs
     # q_0..q_39 for the probe and q_0..q_49 for its re-verification
@@ -548,6 +559,24 @@ def test_config_naming_a_seed_twice_rejected(tmp_path, capsys, text, message):
             "kind": "config", "message": f"invalid family config: {message}"}}
     with pytest.raises(ValueError, match=re.escape(message)):
         casolag.family.spec_from_json(text)
+
+
+# R keys that int() reads as numbers: "1_0" as 10, the others as 1
+@pytest.mark.parametrize("key", ["1_0", " 1", "+1", "1 ", "\u0661"])
+def test_config_r_key_other_than_ascii_digits_rejected(cfg, capsys, key):
+    degree = 10 if key == "1_0" else 1
+    config = {"alpha": 7, "G": [degree], "R": {key: f"x^{degree}+1"}}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(config, load_schema("family.json"))
+    message = f"G entries and R keys must be integers, got {key!r}"
+    for command in ("preset", "check"):
+        code, out, err = run(capsys, command, "--config", cfg(config))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": {
+            "kind": "config", "message": f"invalid family config: {message}"}}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        casolag.family.spec_from_json_dict(config)
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

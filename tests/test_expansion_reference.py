@@ -10,8 +10,9 @@ over Fraction, so it shares no elimination code with the probe either.
 
 `reference_reverify` is the re-verification the probe used to run: a fresh
 table of each basis element on the longer range.  reverify_probe instead
-extends the probe's own monomial residuals below the band and checks the
-basis on them by linearity.
+builds the constraint rows of the extra rows from the monomial residuals
+below the band and checks the basis on them by linearity.  Both refuse a
+range with no row n > band, where nothing could be checked.
 
 `reference_x_step` and `reference_back_substitute` are the engine's two
 steps as they were on `Fraction` windows (lo, w), dividing by beta_{k,0} at
@@ -30,7 +31,7 @@ from casolag import (DegenerateFamily, FamilySpec, Poly, algebra_probe, beta,
                      q_poly, recurrence_table, reverify_probe)
 from casolag.poly import clear_denominators
 from casolag.recurrence import (_back_substitute, _coefficients, _extend_ladder,
-                                _first_outside, _x_step)
+                                _first_outside, _monomial_residuals, _x_step)
 
 from test_linalg import reference_solve
 
@@ -145,6 +146,8 @@ def reference_probe(name, d, band, n_max):
 
 
 def reference_reverify(spec, res, extra=10):
+    if res.n_max + extra <= res.band:
+        return False
     return all(_first_outside(recurrence_table(spec, Q, res.n_max + extra), -res.band) is None
                for Q in res.basis)
 
@@ -191,17 +194,18 @@ def test_reverify_matches_reference(name, d, data):
     n_max = data.draw(st.one_of(st.none(), st.integers(0, 12)), label="n_max")
     extra = data.draw(st.integers(0, 10), label="extra")
     res = algebra_probe(spec, d, band=band, n_max=n_max)
-    # each stored residual, back-substituted to index 0, is that row's part
-    # of the monomial's table below -band
-    for k in range(d + 1):
+    # each monomial residual, back-substituted to index 0, is that row's
+    # part of the monomial's table below -band
+    betas = []
+    residuals = _monomial_residuals(spec, betas, range(res.n_max + 1), res.band)
+    for k, windows in zip(range(d + 1), residuals):
         table = recurrence_table(spec, Poly.monomial(k), res.n_max)
         for n, row in table.rows.items():
             below = {j: g for j, g in row.items() if j < -res.band}
-            if n not in res._residuals[k]:
+            if n not in windows:
                 assert below == {}
                 continue
-            lo, c = _coefficients(_back_substitute(*res._residuals[k][n], res._betas)[0],
-                                  res._betas)
+            lo, c = _coefficients(_back_substitute(*windows[n], betas)[0], betas)
             assert {t - n: g for t, g in enumerate(c, lo) if g != 0} == below
     assert reverify_probe(spec, res, extra) == reference_reverify(spec, res, extra)
 

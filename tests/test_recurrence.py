@@ -191,21 +191,10 @@ def test_obstruction_inconclusive_for_x4(nonsegment_spec):
     assert res.witness is None
 
 
-@pytest.mark.parametrize("call, empty", [
-    (lambda spec: recurrence_table(spec, Poly.x(), range(0)), "range(0, 0)"),
-    (lambda spec: recurrence_table(spec, Poly.x(), range(5, 3)), "range(5, 3)"),
-])
-def test_empty_row_range_is_named(call, empty, nonsegment_spec):
-    with pytest.raises(ValueError) as e:
-        call(nonsegment_spec)
-    assert str(e.value) == f"empty row range {empty}: needs at least one row"
-
-
 @pytest.mark.parametrize("call, value", [
     (lambda spec: recurrence_table(spec, Poly.x(), -1), "n_range must be >= 0, got -1"),
     (lambda spec: recurrence_table(spec, Poly.x(), -5), "n_range must be >= 0, got -5"),
     (lambda spec: three_term_test(spec, -1), "nmax must be >= 0, got -1"),
-    (lambda spec: recurrence_table(spec, Poly.x(), range(-3, 2)), "n = -3"),
     (lambda spec: algebra_probe(spec, 3, band=-2), "band=-2"),
     (lambda spec: algebra_probe(spec, 3, n_max=-5), "n_max=-5"),
     (lambda spec: reverify_probe(spec, algebra_probe(spec, 2), extra=-3), "got -3"),
@@ -214,6 +203,19 @@ def test_negative_sizes_are_refused(call, value, nonsegment_spec):
     # each used to pass vacuously or fail with a bare IndexError
     with pytest.raises(ValueError, match=value):
         call(nonsegment_spec)
+
+
+def test_reverify_needs_a_row_past_the_band(nonsegment_spec):
+    # rows 0..n_max + extra = 0..20 hold no coefficient below -20, so
+    # nothing would be checked
+    res = algebra_probe(nonsegment_spec, 4, band=20, n_max=0)
+    assert res.basis == [Poly.monomial(k) for k in range(5)]
+    assert reverify_probe(nonsegment_spec, res, extra=10) is False
+    assert reverify_probe(nonsegment_spec, res, extra=20) is False
+    # row 21 exists and refutes every non-constant monomial
+    assert reverify_probe(nonsegment_spec, res, extra=21) is False
+    assert reverify_probe(nonsegment_spec, algebra_probe(nonsegment_spec, 0, band=20,
+                                                         n_max=0), extra=21) is True
 
 
 def test_obstruction_guard_inside_integer_range(integer_alpha_spec):
