@@ -4,23 +4,22 @@ Everything runs over rationals: family construction from difference-operator
 seeds, closed-form bilinear pairings, orthogonality certification, banded
 recurrence extraction, and the eigenvalue-polynomial algebra probe.
 
-casolag.forms and casolag.recurrence load on first use.  Importing the
-package puts each in sys.modules as an importlib.util.LazyLoader module,
-compiled and run at the first attribute read, and serves their public names
-through the module __getattr__ below.  A CLI process that only checks
-admissibility or prints family members then compiles neither, and one that
-checks orthogonality does not compile recurrence: each process pays for
-the code its subcommand runs.
+casolag.forms, casolag.recurrence and casolag.krall load on first use.
+Importing the package puts each in sys.modules as an
+importlib.util.LazyLoader module, compiled and run at the first attribute
+read, and serves their public names through the module __getattr__ below.
+A CLI process that only checks admissibility or prints family members then
+compiles neither forms nor recurrence, one that checks orthogonality does
+not compile recurrence, and only a preset config compiles krall: each
+process pays for the code its subcommand runs.
 """
 
 import importlib.util
 import sys
 
 from .family import (AdmissibilityCertificate, BetaRow, DegenerateFamily,
-                     FamilySpec, InvalidPreset, beta, certify_admissible,
-                     degenerate_preset, krall_preset, match_krall_parameters,
-                     omega, q_poly, reduce_representation, spec_from_json,
-                     spec_from_json_dict, spec_to_json)
+                     FamilySpec, InvalidPreset, beta, certify_admissible, omega,
+                     q_poly, spec_from_json, spec_from_json_dict, spec_to_json)
 from .laguerre import laguerre
 from .linalg import InconsistentSystem, LinearSolution, solve_linear
 from .parsing import ParseError, parse_poly
@@ -41,6 +40,7 @@ def _lazy(name: str):
 
 forms = _lazy("forms")
 recurrence = _lazy("recurrence")
+krall = _lazy("krall")
 
 # public name -> the lazy module that defines it
 _LAZY = {
@@ -52,6 +52,8 @@ _LAZY = {
                      "expand_in_q", "obstruction_test", "recurrence_table",
                      "reverify_probe", "rho_bound", "rho_recurrence", "three_term_test",
                      "verify_band"), recurrence),
+    **dict.fromkeys(("degenerate_preset", "krall_preset", "match_krall_parameters",
+                     "reduce_representation"), krall),
 }
 
 

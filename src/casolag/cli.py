@@ -8,7 +8,9 @@ wall-clock state.
 
 Each subcommand takes --config, --format, --out and only the flags it reads,
 declared once in _SUBCOMMANDS with their defaults; any other flag is a usage
-error, as are a negative size and a missing --Q or --deg.
+error, as are a negative size and a missing --Q or --deg.  _parse reads argv
+from that table, with no argparse; forms, recurrence and krall (read for a
+preset config) are lazy modules (see the package docstring).
 
 Exit codes: 0 when the mathematical verdict passes, 2 when it fails, 1 for
 usage or config errors (reported as structured JSON on stderr).
@@ -16,15 +18,14 @@ usage or config errors (reported as structured JSON on stderr).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
-# forms and recurrence are lazy modules (see the package docstring): a
-# `from .forms import` here would run them, so the subcommands read their
-# names at call time.
+# lazy modules: a `from .forms import` here would run forms, so the
+# subcommands read their names at call time
 from . import forms, recurrence
 from .family import (AdmissibilityCertificate, DegenerateFamily, FamilySpec,
                      InvalidPreset, _unique_keys, certify_admissible, q_poly,
@@ -114,13 +115,13 @@ def _to_latex(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args: argparse.Namespace, payload: dict, table: Table,
+def _emit(args: SimpleNamespace, payload: dict, table: Table,
           latex: Table | None = None) -> None:
     """Write payload as JSON, or table as CSV or LaTeX; latex, when given,
     is the table the LaTeX document shows instead."""
-    if args.fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif args.fmt == "csv":
+    elif args.format == "csv":
         text = _to_csv(table)
     else:
         text = _to_latex(table if latex is None else latex)
@@ -135,7 +136,7 @@ def _latex_frac(v: Fraction) -> str:
     return f"${v}$" if v.denominator == 1 else rf"$\frac{{{v.numerator}}}{{{v.denominator}}}$"
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     cert: AdmissibilityCertificate = certify_admissible(args.family)
     table = Table(("omega", "admissible", "scan_bound", "fail_n"),
                   [(cert.omega, cert.passed, cert.integer_scan_bound, cert.fail_n)])
@@ -149,7 +150,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if cert.passed else VERDICT_FAIL
 
 
-def cmd_qpoly(args: argparse.Namespace) -> int:
+def cmd_qpoly(args: SimpleNamespace) -> int:
     table = Table(("n", "q"), [(n, q_poly(args.family, n)) for n in range(args.nmax + 1)],
                   title="Family members", colspec="rl", heads=(r"$n$", r"$q_n$"))
     payload = {
@@ -171,7 +172,7 @@ def _pick_variant(spec: FamilySpec) -> str:
     return "generic"
 
 
-def cmd_ortho(args: argparse.Namespace) -> int:
+def cmd_ortho(args: SimpleNamespace) -> int:
     variant = _pick_variant(args.family)
     try:
         form = forms.BilinearForm(args.family, None, variant)
@@ -193,7 +194,7 @@ def cmd_ortho(args: argparse.Namespace) -> int:
     return 0 if report.passed else VERDICT_FAIL
 
 
-def cmd_recur(args: argparse.Namespace) -> int:
+def cmd_recur(args: SimpleNamespace) -> int:
     if args.Q.is_zero():
         raise CliError("recur needs a nonzero --Q")
     band = args.Q.degree if args.band is None else args.band
@@ -216,7 +217,7 @@ def cmd_recur(args: argparse.Namespace) -> int:
     return 0 if ok else VERDICT_FAIL
 
 
-def cmd_three_term(args: argparse.Namespace) -> int:
+def cmd_three_term(args: SimpleNamespace) -> int:
     res = recurrence.three_term_test(args.family, args.nmax)
     table = Table(("n", "a", "b", "c"),
                   [(n, res.a[n], res.b[n], res.c[n]) for n in range(args.nmax + 1)],
@@ -233,7 +234,7 @@ def cmd_three_term(args: argparse.Namespace) -> int:
     return 0 if res.passed else VERDICT_FAIL
 
 
-def cmd_probe(args: argparse.Namespace) -> int:
+def cmd_probe(args: SimpleNamespace) -> int:
     result = recurrence.algebra_probe(args.family, args.deg, args.band, args.nmax)
     ok = recurrence.reverify_probe(args.family, result)
     table = Table(("index", "Q"), list(enumerate(result.basis)),
@@ -252,7 +253,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return 0 if ok else VERDICT_FAIL
 
 
-def cmd_preset(args: argparse.Namespace) -> int:
+def cmd_preset(args: SimpleNamespace) -> int:
     spec = args.family
     table = Table(("key", "value"),
                   [("alpha", spec.alpha)] + [(f"R_{g}", spec.R[g]) for g in spec.G])
@@ -273,35 +274,42 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as CliError instead of printing and exiting."""
-
-    def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
+def _choice(text: str, choices) -> str:
+    if text not in choices:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return text
 
 
 def _size(text: str) -> int:
-    """argparse type of the size flags: a non-negative integer."""
+    """A size flag's value: a non-negative integer in ASCII digits; int()
+    would also read "1_0", "+3", " 4" and other scripts' digits."""
+    digits = text.removeprefix("-")
     try:
-        value = int(text)
+        if not (digits.isascii() and digits.isdecimal()):
+            raise ValueError
+        value = int(text)  # raises past the interpreter's digit limit
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise ValueError(f"must be >= 0, got {value}")
     return value
 
 
-# flag -> (argparse type, help)
+# flag -> (reader of its value, whose ValueError is the usage message; metavar; help)
 _FLAGS = {
-    "--nmax": (_size, "largest family index"),
-    "--Q": (str, "polynomial, e.g. 'x^4+16*x^3'"),
-    "--deg": (_size, "degree cap"),
-    "--band": (_size, "band to verify"),
+    "--config": (str, "CONFIG", "family config JSON path"),
+    "--nmax": (_size, "NMAX", "largest family index"),
+    "--Q": (str, "Q", "polynomial, e.g. 'x^4+16*x^3'"),
+    "--deg": (_size, "DEG", "degree cap"),
+    "--band": (_size, "BAND", "band to verify"),
+    "--format": (lambda text: _choice(text, ("json", "csv", "latex")), "{json,csv,latex}",
+                 "report format"),
+    "--out": (str, "OUT", "write report here instead of stdout"),
 }
 
 # subcommand -> (help, {flag: default}) for the flags it reads besides
 # --config, --format and --out.  None marks a required flag; a string default
-# names a fallback computed from the input (the flag then parses to None).
+# names a fallback computed from the input (the flag then reads as None).
 _SUBCOMMANDS = {
     "check": ("certify that the family determinant never vanishes on n >= 0", {}),
     "qpoly": ("print the family members q_0..q_nmax", {"--nmax": 8}),
@@ -315,24 +323,61 @@ _SUBCOMMANDS = {
     "preset": ("expand a preset config into explicit seeds", {}),
 }
 
+# subcommand -> {flag: default} for every flag it takes, in usage order
+_TAKES = {name: {"--config": None, **flags, "--format": "json", "--out": ""}
+          for name, (_, flags) in _SUBCOMMANDS.items()}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="casolag",
-        description="Exact computations with Casoratian-seeded Laguerre type families.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="family config JSON path")
-        for flag, default in flags.items():
-            kind, flag_help = _FLAGS[flag]
-            suffix = "" if default is None else f" (default: {default})"
-            p.add_argument(flag, type=kind, required=default is None, help=flag_help + suffix,
-                           default=default if isinstance(default, int) else None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "latex"),
-                       default="json", help="report format (default: %(default)s)")
-        p.add_argument("--out", help="write report here instead of stdout")
-    return parser
+
+def _help(command: str | None) -> str:
+    if command is None:
+        return (f"usage: casolag [-h] {{{','.join(_SUBCOMMANDS)}}} ...\n\nExact computations "
+                "with Casoratian-seeded Laguerre type families.\n\nsubcommands:\n"
+                + "".join(f"  {name:<12}{text}\n" for name, (text, _) in _SUBCOMMANDS.items()))
+    takes = _TAKES[command]
+    spelled = {f: f"{f} {_FLAGS[f][1]}" for f in takes}
+    usage = " ".join(s if takes[f] is None else f"[{s}]" for f, s in spelled.items())
+    rows = [("-h, --help", "show this help message and exit")] + [
+        (spelled[f], _FLAGS[f][2] + (f" (default: {d})" if d else "")) for f, d in takes.items()]
+    return (f"usage: casolag {command} [-h] {usage}\n\n{_SUBCOMMANDS[command][0]}\n\n"
+            "options:\n" + "".join(f"  {s:<26}{h}\n" for s, h in rows))
+
+
+def _parse(argv: list) -> SimpleNamespace | str:
+    """The subcommand and its flags (absent: an int default, else None), or
+    the help text asked for.  The next word is a flag's value unless it
+    starts with "--".  Errors carry argparse's messages, in its order: a bad
+    value where it stands, then a missing required flag, then unknown words."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _help(None)
+    if not argv or argv[0].startswith("-"):
+        raise CliError("casolag: the following arguments are required: command")
+    try:
+        command = _choice(argv[0], _TAKES)
+    except ValueError as e:
+        raise CliError(f"casolag: argument command: {e}") from None
+    prog, takes = f"casolag {command}", _TAKES[command]
+    given, unknown, words = {}, [], iter(argv[1:])
+    for word in words:
+        if word in ("-h", "--help"):
+            return _help(command)
+        flag, eq, value = word.partition("=")
+        if flag not in takes:
+            unknown.append(word)
+            continue
+        value = value if eq else next(words, "--")
+        try:
+            if value.startswith("--") and not eq:
+                raise ValueError("expected one argument")
+            given[flag[2:]] = _FLAGS[flag][0](value)
+        except ValueError as e:
+            raise CliError(f"{prog}: argument {flag}: {e}") from None
+    missing = [f for f, d in takes.items() if d is None and f[2:] not in given]
+    if missing:
+        raise CliError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise CliError(f"casolag: unrecognized arguments: {' '.join(unknown)}")
+    absent = {f[2:]: d if isinstance(d, int) else None for f, d in takes.items()}
+    return SimpleNamespace(command=command, **{**absent, "format": "json", **given})
 
 
 def _error_json(kind: str, message: str) -> None:
@@ -342,9 +387,12 @@ def _error_json(kind: str, message: str) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return 0
         args.family = _load_family(args.config)
-        if "Q" in args:
+        if "Q" in vars(args):
             try:
                 args.Q = parse_poly(args.Q)
             except ParseError as e:
@@ -359,8 +407,6 @@ def main(argv=None) -> int:
     except OSError as e:
         _error_json("io", str(e))
         return USAGE_ERROR
-    except SystemExit as e:  # --help; usage errors raise CliError
-        return 0 if e.code in (0, None) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .laguerre import laguerre_ints
-from .linalg import det_int, solve_linear, InconsistentSystem
+from .linalg import det_int
 from .parsing import parse_poly
 from .poly import (Poly, as_rat, clear_denominators, integer_roots, rat_str, record,
                    render)
-from .special import _shifted_values, binom_poly, casoratian, poch
+from .special import _shifted_values, casoratian
 
 
 class DegenerateFamily(Exception):
@@ -71,6 +70,8 @@ class FamilySpec:
             raise ValueError("G must be strictly increasing")
         object.__setattr__(self, "G", G)
         R = {_degree(g): p for g, p in self.R.items()}
+        if len(R) < len(self.R):
+            raise ValueError(f"R names one seed twice, keys {json.dumps(list(self.R))}")
         if set(R) != set(G):
             raise ValueError("R must have exactly one seed per element of G")
         for g, p in R.items():
@@ -189,139 +190,6 @@ def q_poly(spec: FamilySpec, n: int) -> Poly:
     return Poly(Fraction(c * scale.denominator, den) for c in out)
 
 
-def reduce_representation(spec: FamilySpec) -> FamilySpec:
-    """Equivalent seeds in which R_g carries no monomial x^h for h in G, h < g.
-
-    Adding multiples of lower seeds to a higher one leaves every q_n (and
-    every beta row) unchanged; this picks the canonical representative of
-    that orbit by triangular elimination.
-    """
-    reduced: dict[int, Poly] = {}
-    for g in spec.G:
-        p = spec.R[g]
-        for h in reversed([h for h in spec.G if h < g]):
-            c = p.coeff(h)
-            if c != 0:
-                # reduced[h] is already clean above degree h except its lead
-                p = p - (c / reduced[h].lead) * reduced[h]
-        reduced[g] = p
-    return FamilySpec(spec.alpha, spec.G, reduced)
-
-
-def krall_preset(alpha: int, m: int, a: Sequence) -> FamilySpec:
-    """Seeds generating the classical point-mass-perturbed Laguerre families.
-
-    G = {alpha, ..., alpha+m-1} and, for h = 1..m,
-
-        R_{g_h} = binom(x+alpha+h-1, alpha+h-1)
-                  + (h-1)! sum_{l=0}^{h-1} (-1)^l a_{h-l-1}/(alpha-l)_l binom(x+l, l).
-
-    Requires integer alpha >= m >= 1 and a_0 != 0 (a has length m).
-    """
-    if not isinstance(alpha, int) or not isinstance(m, int):
-        raise InvalidPreset("alpha and m must be integers")
-    if m < 1 or alpha < m:
-        raise InvalidPreset("needs alpha >= m >= 1")
-    a = [as_rat(v) for v in a]
-    if len(a) != m:
-        raise InvalidPreset(f"a must have length m = {m}")
-    if a[0] == 0:
-        raise InvalidPreset("a[0] must be nonzero")
-    return FamilySpec(Fraction(alpha), tuple(range(alpha, alpha + m)),
-                      {alpha + h - 1: _preset_seed(alpha, h, a, h - 1) for h in range(1, m + 1)})
-
-
-def degenerate_preset(alpha: int, m: int, a_tilde: Sequence) -> FamilySpec:
-    """Variant of krall_preset for 1 <= alpha <= m-1.
-
-    Same G and leading binomial, but the correction sum for R_{g_h} stops at
-    l = h+alpha-m-1 (empty when negative), so only a_tilde[m-alpha..m-1]
-    enter.  a_tilde has length m; the unused leading entries are ignored.
-    The resulting q_n all vanish to order m-alpha at 0 once n >= m-alpha.
-    """
-    if not isinstance(alpha, int) or not isinstance(m, int):
-        raise InvalidPreset("alpha and m must be integers")
-    if alpha < 1 or alpha >= m:
-        raise InvalidPreset("needs 1 <= alpha <= m-1")
-    a_tilde = [as_rat(v) for v in a_tilde]
-    if len(a_tilde) != m:
-        raise InvalidPreset(f"a_tilde must have length m = {m}")
-    return FamilySpec(Fraction(alpha), tuple(range(alpha, alpha + m)),
-                      {alpha + h - 1: _preset_seed(alpha, h, a_tilde, h + alpha - m - 1)
-                       for h in range(1, m + 1)})
-
-
-def _preset_seed(alpha: int, h: int, a: Sequence[Fraction], l_top: int) -> Poly:
-    p = binom_poly(alpha + h - 1)
-    corr = Poly.zero()
-    for l in range(0, l_top + 1):
-        corr = corr + ((-1) ** l * a[h - l - 1] / poch(alpha - l, l)) * binom_poly(l)
-    return p + math.factorial(h - 1) * corr
-
-
-def match_krall_parameters(spec: FamilySpec) -> list[Fraction] | None:
-    """Decide whether the family coincides with a preset family.
-
-    Families are identified up to the two symmetries that leave the q_n
-    unchanged (up to constants): rescaling each seed, and adding multiples
-    of lower seeds to higher ones.  Returns the recovered a-vector when the
-    spec lies in the krall_preset orbit (alpha >= m) or degenerate_preset
-    orbit (alpha <= m-1), else None.  Only defined for positive integer
-    alpha and G = {alpha, ..., alpha+m-1}.
-    """
-    alpha = spec.alpha
-    if alpha.denominator != 1 or alpha <= 0:
-        return None
-    alpha = int(alpha)
-    m = spec.m
-    if spec.G != tuple(range(alpha, alpha + m)):
-        return None
-    krall = alpha >= m
-
-    # normalize seed leads to 1/g!
-    norm = {g: spec.R[g] * (Fraction(1, math.factorial(g)) / spec.R[g].lead)
-            for g in spec.G}
-
-    # unknowns: eta_{h,h'} (h' < h) for the lower-seed mixing, then a_0..a_{m-1}
-    eta_index = {}
-    for h in range(2, m + 1):
-        for hp in range(1, h):
-            eta_index[(h, hp)] = len(eta_index)
-    n_eta = len(eta_index)
-
-    units = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for h in range(1, m + 1):
-        g = alpha + h - 1
-        l_top = h - 1 if krall else h + alpha - m - 1
-        # target: norm_g + sum eta * norm_lower - correction(a) = binom(x+g, g)
-        base = norm[g] - binom_poly(g)
-        # column of a_i: the a_i part of the preset's correction sum
-        corr = [_preset_seed(alpha, h, e, l_top) - binom_poly(g) for e in units]
-        for t in range(g + 1):
-            row = [Fraction(0)] * n_eta + [-c.coeff(t) for c in corr]
-            for hp in range(1, h):
-                row[eta_index[(h, hp)]] = norm[alpha + hp - 1].coeff(t)
-            rows.append(row)
-            rhs.append(-base.coeff(t))
-    try:
-        sol = solve_linear(rows, rhs)
-    except InconsistentSystem:
-        return None
-    assert sol.particular is not None
-    a_vec = sol.particular[n_eta:]
-    if krall and a_vec[0] == 0:
-        # a_0 is forced or adjustable; try to push it off zero along the nullspace
-        for v in sol.nullspace:
-            if v[n_eta] != 0:
-                a_vec = [ai + vi for ai, vi in zip(a_vec, v[n_eta:])]
-                break
-        else:
-            return None
-    return list(a_vec)
-
-
 # -- JSON interchange -------------------------------------------------
 
 
@@ -374,18 +242,17 @@ def spec_from_json_dict(obj: dict) -> FamilySpec:
         m = _json_number(obj["m"], "m")
         a = [_json_number(v, "a entry", rational=True)
              for v in _json_typed(obj["a"], list, "a")]
+        # krall is a lazy module: only a preset config runs it
+        from . import krall
         if kind == "krall":
-            return krall_preset(alpha, m, a)
+            return krall.krall_preset(alpha, m, a)
         if kind == "degenerate":
-            return degenerate_preset(alpha, m, a)
+            return krall.degenerate_preset(alpha, m, a)
         raise ValueError(f"unknown preset kind {json.dumps(kind)}")
     alpha = _json_number(obj["alpha"], "alpha", rational=True)
     G = [_json_number(g, "G entry") for g in _json_typed(obj["G"], list, "G")]
     seeds = _json_typed(obj["R"], dict, "R")
-    R = {_degree(g): parse_poly(_json_typed(text, str, f"seed R[{g}]"))
-         for g, text in seeds.items()}
-    if len(R) < len(seeds):
-        raise ValueError(f"R names one seed twice, keys {json.dumps(list(seeds))}")
+    R = {g: parse_poly(_json_typed(text, str, f"seed R[{g}]")) for g, text in seeds.items()}
     return FamilySpec(alpha, tuple(G), R)
 
 

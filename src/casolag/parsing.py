@@ -38,7 +38,7 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([x+\-*/^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([x+\-*/^()]))")
 
 _END = ("end", "", -1)
 

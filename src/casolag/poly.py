@@ -22,8 +22,8 @@ With ``frozen=True`` assignment raises ``AttributeError`` and instances
 hash by their fields, a ``dict`` field by its items in any order, so the
 hash agrees with ``==``; otherwise they are unhashable.  It builds no code at
 run time and imports nothing, so a casolag process loads little of the
-standard library beyond ``argparse``, ``json``, ``fractions``, ``math``,
-``functools`` and ``re``.  The standard library's ``asdict``, ``replace`` and
+standard library beyond ``json``, ``fractions``, ``math``, ``functools``
+and ``re``.  The standard library's ``asdict``, ``replace`` and
 ``fields`` helpers do not apply to these classes.
 """
 

@@ -471,14 +471,87 @@ def test_help_shows_defaults(capsys):
             assert f"(default: {default})" in out
 
 
+# int() would read the last four as numbers ("1_0" as 10): sizes take ASCII digits
 @pytest.mark.parametrize("value,message", [
     ("abc", "invalid int value: 'abc'"),
     ("-1", "must be >= 0, got -1"),
+    *((v, f"invalid int value: {v!r}") for v in ("1_0", "+3", " 4", "\u0663")),
 ])
 def test_size_flag_messages(cfg, capsys, value, message):
     code, _, err = run(capsys, "ortho", "--config", cfg(REMARK), "--nmax", value)
     assert code == 1
     assert json.loads(err)["error"]["message"] == f"casolag ortho: argument --nmax: {message}"
+
+
+def test_digit_other_than_ascii_in_seed_or_q(cfg, capsys):
+    code, out, err = run(capsys, "check", "--config",
+                         cfg({"alpha": 7, "G": [1], "R": {"1": "\u0663*x+1"}}))
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config"
+    assert "unexpected character '\u0663' at position 0" in error["message"]
+    code, out, err = run(capsys, "recur", "--config", cfg(REMARK), "--Q", "x^\u0662")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {
+        "kind": "usage", "message": "bad --Q: unexpected character '\u0662' at position 2"}}
+
+
+def usage_message(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage"
+    return error["message"]
+
+
+def test_flag_equals_value_and_repeated_flag(cfg, capsys):
+    path = cfg(REMARK)
+    _, spaced, _ = run(capsys, "qpoly", "--config", path, "--nmax", "3")
+    _, joined, _ = run(capsys, "qpoly", f"--config={path}", "--nmax=3")
+    # the last of a repeated flag wins
+    _, repeated, _ = run(capsys, "qpoly", "--config", path, "--nmax", "7", "--nmax", "3")
+    assert json.loads(spaced)["nmax"] == 3
+    assert spaced == joined == repeated
+
+
+def test_flag_without_value(cfg, capsys):
+    path = cfg(REMARK)
+    assert usage_message(capsys, "qpoly", "--config", path, "--nmax") == \
+        "casolag qpoly: argument --nmax: expected one argument"
+    # a word that starts with "--" is never a value
+    assert usage_message(capsys, "qpoly", "--config", "--nmax", "3") == \
+        "casolag qpoly: argument --config: expected one argument"
+    assert usage_message(capsys, "qpoly", "--config", path, "--nmax=") == \
+        "casolag qpoly: argument --nmax: invalid int value: ''"
+
+
+def test_flags_are_spelled_in_full(cfg, capsys):
+    path = cfg(REMARK)
+    assert usage_message(capsys, "ortho", "--config", path, "--nm", "3") == \
+        "casolag: unrecognized arguments: --nm 3"
+    # a missing required flag is reported before an unknown word
+    assert usage_message(capsys, "ortho", "--conf", path) == \
+        "casolag ortho: the following arguments are required: --config"
+    assert usage_message(capsys, "probe", "--config", path, "--bogus", "1") == \
+        "casolag probe: the following arguments are required: --deg"
+
+
+def test_value_starting_with_a_dash(cfg, capsys):
+    code, out, err = run(capsys, "recur", "--config", cfg(REMARK), "--Q", "-x^2", "--nmax", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["Q"] == "-x^2"
+
+
+def test_main_reads_sys_argv_by_default(cfg, capsys, monkeypatch):
+    # the casolag console script calls main() with no arguments
+    path = cfg(REMARK)
+    monkeypatch.setattr(sys, "argv", ["casolag", "qpoly", "--config", path, "--nmax", "1"])
+    code, out, err = run(capsys)  # main([]) would be a usage error
+    assert (code, err) == (1, json.dumps({"error": {
+        "kind": "usage", "message": "casolag: the following arguments are required: command"}},
+        sort_keys=True) + "\n")
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["nmax"] == 1
 
 
 def test_readme_command_lines_run(cfg, capsys):

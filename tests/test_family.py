@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -302,6 +303,12 @@ def test_json_preset_form():
     text = json.dumps({"preset": "degenerate", "alpha": 1, "m": 2,
                        "a": ["0", "2"]})
     assert spec_from_json(text) == degenerate_preset(1, 2, [F(0), F(2)])
+
+
+def test_spec_naming_a_seed_twice_rejected():
+    # "01" and 1 name one degree: the spec does not keep the last silently
+    with pytest.raises(ValueError, match=re.escape('R names one seed twice, keys ["01", 1]')):
+        FamilySpec(7, (1,), {"01": parse_poly("x+3"), 1: parse_poly("x+5")})
 
 
 def test_json_rejects_floats():

@@ -30,9 +30,11 @@ def test_whitespace_tolerated():
     assert parse_poly(" x ^ 2 + 1 ") == Poly((1, 0, 1))
 
 
+# the last three have digits other than ASCII, which as_rat and the schemas'
+# [0-9] refuse too (\d would read them as 3*x, x^2 and x+1)
 @pytest.mark.parametrize("bad", [
     "", "x/2", "(x+1)/3", "x^-1", "x^(2)", "2**x", "x+", "*x", "x 2",
-    "(x", "x)", "x^x", "1/0",
+    "(x", "x)", "x^x", "1/0", "\u0663*x", "x^\u0662", "x+\uff11",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):

@@ -1,6 +1,6 @@
 """casolag's result types: the import graph they keep small (with the lazy
-modules forms and recurrence), and the record semantics of poly.record
-(construction, repr, ==, frozen, hash).
+modules forms, recurrence and krall, and the CLI's own argv parser), and the
+record semantics of poly.record (construction, repr, ==, frozen, hash).
 
 The pinned reprs are those the same instances had when the classes were
 standard-library dataclasses; the field order and the fields left out of ==
@@ -35,10 +35,27 @@ def test_cli_imports_no_heavy_modules():
     assert out.split() == []
 
 
-LAZY = ("casolag.forms", "casolag.recurrence")
-# the nonsegment golden family
+LAZY = ("casolag.forms", "casolag.recurrence", "casolag.krall")
+# the nonsegment golden family, and the krall golden preset
 NONSEGMENT = {"alpha": "7", "G": [1, 2, 5],
               "R": {"1": "x-1", "2": "x^2+1", "5": "x^5+x^4+x^3+1"}}
+KRALL = {"preset": "krall", "alpha": 3, "m": 3, "a": ["1", "1/2", "2"]}
+
+
+def run_cli(argv, modules):
+    """(exit code, the modules of `modules` that ran or were imported) of
+    main(argv) in a fresh -S interpreter, read from the last line of its
+    stdout; a lazy module that ran has its LazyLoader class swapped for
+    ModuleType."""
+    code = ("import sys, types; from casolag.cli import main; code = main(%r); "
+            "print(code, *(m for m in %r if type(sys.modules.get(m)) is types.ModuleType))"
+            % (argv, modules))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()[-1].split()
+    return out[0], out[1:]
+
+
 # subcommand -> (its golden flags, the lazy modules it runs)
 RUNS = {
     "check": ([], []),
@@ -53,19 +70,38 @@ RUNS = {
 
 @pytest.mark.parametrize("command", RUNS)
 def test_subcommand_runs_only_the_lazy_modules_it_needs(command, tmp_path):
-    # a lazy module that ran has its LazyLoader class swapped for ModuleType
+    # an explicit config leaves krall unloaded
     flags, ran = RUNS[command]
     config = tmp_path / "family.json"
     config.write_text(json.dumps(NONSEGMENT))
     argv = [command, *flags, "--config", str(config), "--out", str(tmp_path / "report")]
-    code = ("import sys, types; from casolag.cli import main; code = main(%r); "
-            "print(code, *(m for m in %r if type(sys.modules[m]) is types.ModuleType))"
-            % (argv, LAZY))
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert out[0] in ("0", "2")  # the subcommand ran to a verdict
-    assert out[1:] == ran
+    code, loaded = run_cli(argv, LAZY)
+    assert code in ("0", "2")  # the subcommand ran to a verdict
+    assert loaded == ran
+
+
+@pytest.mark.parametrize("command", ["preset", "check"])
+def test_preset_config_runs_krall(command, tmp_path):
+    config = tmp_path / "preset.json"
+    config.write_text(json.dumps(KRALL))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "report")]
+    assert run_cli(argv, LAZY) == ("0", ["casolag.krall"])
+
+
+# the parser is the CLI's own: no run imports argparse or what it pulls in
+@pytest.mark.parametrize("argv,exit_code", [
+    (["check", "--config", "CONFIG", "--out", "REPORT"], "0"),
+    (["--help"], "0"),
+    (["probe", "--help"], "0"),
+    (["ortho", "--config", "CONFIG", "--nmax", "abc"], "1"),
+    (["check", "--config", "CONFIG", "--bogus", "1"], "1"),
+], ids=" ".join)
+def test_cli_run_imports_no_argparse(argv, exit_code, tmp_path):
+    config = tmp_path / "family.json"
+    config.write_text(json.dumps(NONSEGMENT))
+    paths = {"CONFIG": str(config), "REPORT": str(tmp_path / "report")}
+    argv = [paths.get(a, a) for a in argv]
+    assert run_cli(argv, ("argparse", "gettext", "locale")) == (exit_code, [])
 
 
 def test_public_names_resolve_through_the_package(monkeypatch):
