@@ -4,7 +4,10 @@ Every subcommand reads a family config (JSON, direct or preset form), runs
 one computation, and writes a machine-readable report to stdout or --out.
 Reports are byte-deterministic for a fixed config: keys are sorted, rationals
 are serialized as canonical "p/q" strings, and nothing depends on hashing or
-wall-clock state.
+wall-clock state.  _lines writes a report as it renders it: a JSON report's
+Table one row object at a time, CSV and LaTeX one line per row.  main lifts
+the int-to-str digit limit while a handler runs, so every number a report
+prints is printed whole; the config and --Q are read under the limit.
 
 Each subcommand takes --config, --format, --out and only the flags it reads,
 declared once in _SUBCOMMANDS with their defaults; any other flag is a usage
@@ -81,9 +84,6 @@ class Table:
     def json_row(self, row: tuple) -> dict:
         return {name: _json_cell(v) for name, v in zip(self.names, row)}
 
-    def json_rows(self) -> list[dict]:
-        return [self.json_row(row) for row in self.rows]
-
 
 def _json_cell(v):
     return rat_str(v) if isinstance(v, Fraction) else render(v) if isinstance(v, Poly) else v
@@ -97,39 +97,53 @@ def _latex_cell(v) -> str:
     return rf"\verb|{_json_cell(v)}|" if isinstance(v, (Fraction, Poly)) else str(v)
 
 
-def _to_csv(table: Table) -> str:
-    lines = [",".join(table.names)]
-    lines += [",".join(map(_csv_cell, row)) for row in table.rows]
-    return "\n".join(lines) + "\n"
-
-
-def _to_latex(table: Table) -> str:
-    """Standalone LaTeX document holding the table."""
-    title = [] if table.title is None else [rf"\section*{{{table.title}}}"]
-    note = [] if table.note is None else [f"% {table.note}"]
-    lines = [r"\documentclass{article}", r"\begin{document}", *title,
-             rf"\begin{{tabular}}{{{table.colspec or 'l' * len(table.names)}}}",
-             " & ".join(table.heads or table.names) + r" \\", r"\hline",
-             *(" & ".join(map(_latex_cell, row)) + r" \\" for row in table.rows),
-             r"\end{tabular}", *note, r"\end{document}"]
-    return "\n".join(lines) + "\n"
-
-
-def _emit(args: SimpleNamespace, payload: dict, table: Table,
-          latex: Table | None = None) -> None:
-    """Write payload as JSON, or table as CSV or LaTeX; latex, when given,
-    is the table the LaTeX document shows instead."""
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _to_csv(table)
+def _lines(fmt: str, payload: dict, table: Table):
+    """The report, a line or a row at a time: payload as JSON, with the
+    rows of its Table value (if any) as objects, or table as CSV or LaTeX."""
+    if fmt == "csv":
+        yield ",".join(table.names) + "\n"
+        for row in table.rows:
+            yield ",".join(map(_csv_cell, row)) + "\n"
+    elif fmt == "latex":
+        yield "\n".join([r"\documentclass{article}", r"\begin{document}",
+                         *([] if table.title is None else [rf"\section*{{{table.title}}}"]),
+                         rf"\begin{{tabular}}{{{table.colspec or 'l' * len(table.names)}}}",
+                         " & ".join(table.heads or table.names) + r" \\", r"\hline" "\n"])
+        for row in table.rows:
+            yield " & ".join(map(_latex_cell, row)) + r" \\" "\n"
+        yield "\n".join([r"\end{tabular}", *([] if table.note is None else [f"% {table.note}"]),
+                         r"\end{document}" "\n"])
     else:
-        text = _to_latex(table if latex is None else latex)
+        key = next((k for k, v in payload.items() if isinstance(v, Table)), None)
+        rows = () if key is None else payload[key].rows
+        text = json.dumps(payload if key is None else {**payload, key: []},
+                          sort_keys=True, indent=2) + "\n"
+        if not rows:
+            yield text
+            return
+        # a top-level key starts a line at indent 2, where nested keys sit at
+        # 4 or more and strings escape newlines, so this is found only here
+        mark = f"\n  {json.dumps(key)}: ["
+        at = text.index(mark + "]") + len(mark)
+        yield text[:at] + "\n    {\n"
+        fields = [(f"      {json.dumps(name)}: ", i)
+                  for name, i in sorted((name, i) for i, name in enumerate(payload[key].names))]
+        # most cells are ints, whose str is their JSON and costs a tenth of a
+        # json.dumps call, which sets up an encoder each time
+        for n, row in enumerate(rows):
+            yield ("    },\n    {\n" if n else "") + ",\n".join(
+                name + (str(v) if type(v := row[i]) is int else json.dumps(_json_cell(v)))
+                for name, i in fields) + "\n"
+        yield "    }\n  ]" + text[at + 1:]
+
+
+def _emit(args: SimpleNamespace, payload: dict, table: Table) -> None:
+    """Write the report (_lines) to --out or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(_lines(args.format, payload, table))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_lines(args.format, payload, table))
 
 
 def _latex_frac(v: Fraction) -> str:
@@ -140,13 +154,14 @@ def cmd_check(args: SimpleNamespace) -> int:
     cert: AdmissibilityCertificate = certify_admissible(args.family)
     table = Table(("omega", "admissible", "scan_bound", "fail_n"),
                   [(cert.omega, cert.passed, cert.integer_scan_bound, cert.fail_n)])
-    latex = Table(("quantity", "value"),
-                  [("determinant", cert.omega), ("admissible", cert.passed),
-                   ("scan bound", cert.integer_scan_bound)],
-                  title="Admissibility")
     payload = {"command": "check", "family": args.family.to_json_dict(),
-               **table.json_rows()[0]}
-    _emit(args, payload, table, latex)
+               **table.json_row(table.rows[0])}
+    if args.format == "latex":
+        table = Table(("quantity", "value"),
+                      [("determinant", cert.omega), ("admissible", cert.passed),
+                       ("scan bound", cert.integer_scan_bound)],
+                      title="Admissibility")
+    _emit(args, payload, table)
     return 0 if cert.passed else VERDICT_FAIL
 
 
@@ -157,7 +172,7 @@ def cmd_qpoly(args: SimpleNamespace) -> int:
         "command": "qpoly",
         "family": args.family.to_json_dict(),
         "nmax": args.nmax,
-        "polys": table.json_rows(),
+        "polys": table,
     }
     _emit(args, payload, table)
     return 0
@@ -186,7 +201,7 @@ def cmd_ortho(args: SimpleNamespace) -> int:
         "variant": variant,
         "nmax": args.nmax,
         "passed": report.passed,
-        "entries": table.json_rows(),
+        "entries": table,
         "first_violation": None if report.first_violation is None
         else table.json_row(report.first_violation),
     }
@@ -202,18 +217,19 @@ def cmd_recur(args: SimpleNamespace) -> int:
     ok = recurrence.verify_band(rec, band)
     table = Table(("n", "j", "gamma"), [(n, j, g) for n, row in sorted(rec.rows.items())
                                         for j, g in sorted(row.items())])
-    latex = Table(table.names, [(n, j, _latex_frac(g)) for n, j, g in table.rows],
-                  colspec="rrl", heads=(r"$n$", r"$j$", r"$\gamma_{n,j}$"),
-                  note=f"$Q = {render(args.Q)}$")
     payload = {
         "command": "recur",
         "Q": render(args.Q),
         "nmax": args.nmax,
         "band": band,
         "band_ok": ok,
-        "rows": table.json_rows(),
+        "rows": table,
     }
-    _emit(args, payload, table, latex)
+    if args.format == "latex":
+        table = Table(table.names, [(n, j, _latex_frac(g)) for n, j, g in table.rows],
+                      colspec="rrl", heads=(r"$n$", r"$j$", r"$\gamma_{n,j}$"),
+                      note=f"$Q = {render(args.Q)}$")
+    _emit(args, payload, table)
     return 0 if ok else VERDICT_FAIL
 
 
@@ -228,7 +244,7 @@ def cmd_three_term(args: SimpleNamespace) -> int:
         "nmax": args.nmax,
         "passed": res.passed,
         "failure": res.failure,
-        "coeffs": table.json_rows(),
+        "coeffs": table,
     }
     _emit(args, payload, table)
     return 0 if res.passed else VERDICT_FAIL
@@ -257,9 +273,10 @@ def cmd_preset(args: SimpleNamespace) -> int:
     spec = args.family
     table = Table(("key", "value"),
                   [("alpha", spec.alpha)] + [(f"R_{g}", spec.R[g]) for g in spec.G])
-    latex = Table(("g", "R_g"), [(g, spec.R[g]) for g in spec.G],
-                  title="Expanded preset", colspec="rl", heads=(r"$g$", r"$R_g$"))
-    _emit(args, {"command": "preset", "family": spec.to_json_dict()}, table, latex)
+    if args.format == "latex":
+        table = Table(("g", "R_g"), [(g, spec.R[g]) for g in spec.G],
+                      title="Expanded preset", colspec="rl", heads=(r"$g$", r"$R_g$"))
+    _emit(args, {"command": "preset", "family": spec.to_json_dict()}, table)
     return 0
 
 
@@ -397,7 +414,14 @@ def main(argv=None) -> int:
                 args.Q = parse_poly(args.Q)
             except ParseError as e:
                 raise CliError(f"bad --Q: {e}") from e
-        return _COMMANDS[args.command](args)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:  # it guards what is read: a report prints its numbers whole
+            sys.set_int_max_str_digits(0)
+        try:
+            return _COMMANDS[args.command](args)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     except CliError as e:
         _error_json(e.kind, str(e))
         return USAGE_ERROR

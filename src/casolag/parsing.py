@@ -15,7 +15,9 @@ its base's degree (a constant counting as degree 1) exceeds MAX_DEGREE, so
 'x^100000000' is a ParseError rather than 10^8 coefficients.  The output of
 poly.render is accepted and round-trips up to that degree.  Parentheses and
 unary signs recurse, so nesting them more than MAX_DEPTH levels deep is a
-ParseError rather than a RecursionError.
+ParseError rather than a RecursionError, and an integer literal longer than
+the interpreter's digit limit (sys.set_int_max_str_digits) is a ParseError
+at its position.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ class _Parser:
             pos = len(self.text)
         raise ParseError(message, pos, expected)
 
+    def literal(self, value: str, pos: int) -> int:
+        try:
+            return int(value)
+        except ValueError:  # longer than the interpreter's digit limit
+            raise ParseError(f"integer literal of {len(value)} digits exceeds the "
+                             "interpreter's digit limit", pos) from None
+
     def nested(self, parse, pos: int) -> Poly:
         """parse() one level deeper, for the opener at pos."""
         if self.depth == MAX_DEPTH:
@@ -142,7 +151,7 @@ class _Parser:
                 self.error("exponent must be a nonnegative integer literal",
                            expected=("integer",))
             self.advance()
-            n, degree = int(value), max(base.degree, 1)
+            n, degree = self.literal(value, pos), max(base.degree, 1)
             if n * degree > MAX_DEGREE:
                 raise ParseError(f"power too large: exponent {n} times base degree "
                                  f"{degree} exceeds {MAX_DEGREE}", pos)
@@ -153,16 +162,16 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
-            num = int(value)
+            num = self.literal(value, pos)
             kind, value, _ = self.peek()
             if kind == "op" and value == "/":
                 self.advance()
-                kind, value, _ = self.peek()
+                kind, value, pos = self.peek()
                 if kind != "int":
                     self.error("denominator must be an integer literal",
                                expected=("integer",))
                 self.advance()
-                den = int(value)
+                den = self.literal(value, pos)
                 if den == 0:
                     self.error("zero denominator")
                 return Poly.const(Fraction(num, den))

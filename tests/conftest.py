@@ -1,3 +1,5 @@
+import contextlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -33,3 +35,21 @@ def segment_spec():
         2: parse_poly("x^2+1"),
         3: parse_poly("x^3+x"),
     })
+
+
+@pytest.fixture
+def digit_limit():
+    """digit_limit(n): a context manager that sets the interpreter's limit on
+    int <-> str conversions to n digits for its body."""
+    if not getattr(sys, "get_int_max_str_digits", None):
+        pytest.skip("this interpreter converts integers of any length")
+
+    @contextlib.contextmanager
+    def limit(n):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(n)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)
+    return limit

@@ -10,7 +10,7 @@ import pytest
 
 import casolag.cli
 import casolag.family
-from casolag import Poly
+from casolag import Poly, render
 from casolag.cli import main
 from casolag.parsing import MAX_DEGREE
 
@@ -673,3 +673,44 @@ def test_config_integral_float_is_an_integer(cfg, capsys):
     code, out, _ = run(capsys, "preset", "--config", cfg(config))
     assert code == 0
     assert json.loads(out)["family"]["alpha"] == "2"
+
+
+# numbers longer than the digit limit: Omega's coefficients in both cases;
+# with R_2 = (x+c)^2 also the seed's and the scan bound (~c^2 over lead 1)
+@pytest.mark.parametrize("config,long_bound", [
+    ({"alpha": "7", "G": [1, 2], "R": {"1": "7" * 400 + "*x+1", "2": "7" * 400 + "*x^2+1"}},
+     False),
+    ({"alpha": "7", "G": [2], "R": {"2": f"(x+{'7' * 400})^2"}}, True),
+], ids=["two-seeds", "square"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_numbers_past_the_digit_limit_are_printed(cfg, capsys, digit_limit, config, long_bound,
+                                                  fmt):
+    spec = casolag.family.spec_from_json_dict(config)
+    cert = casolag.family.certify_admissible(spec)
+    path = cfg(config)
+    with digit_limit(640):
+        code, out, err = run(capsys, "check", "--config", path, "--format", fmt)
+        assert sys.get_int_max_str_digits() == 640
+    assert (code, err) == (0 if cert.passed else 2, "")
+    assert len(str(max(abs(c) for c in cert.omega.coeffs))) > 640
+    assert (len(str(cert.integer_scan_bound)) > 640) == long_bound
+    assert render(cert.omega) in out
+    assert str(cert.integer_scan_bound) in out
+    if fmt == "json":
+        assert json.loads(out)["family"] == spec.to_json_dict()
+
+
+def test_integer_literal_past_the_digit_limit(cfg, capsys, digit_limit):
+    digits = "7" * 641
+    message = "integer literal of 641 digits exceeds the interpreter's digit limit at position"
+    with digit_limit(640):
+        code, out, err = run(capsys, "check", "--config",
+                             cfg({"alpha": 7, "G": [1], "R": {"1": f"x+{digits}"}}))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "kind": "config", "message": f"invalid family config: {message} 2"}}
+        for q, position in ((f"{digits}*x", 0), (f"x^{digits}", 2)):
+            code, out, err = run(capsys, "recur", "--config", cfg(REMARK), "--Q", q)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {"error": {
+                "kind": "usage", "message": f"bad --Q: {message} {position}"}}

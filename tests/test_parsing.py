@@ -120,3 +120,13 @@ coeffs = st.fractions(min_value=-999, max_value=999, max_denominator=99)
 @given(st.lists(coeffs, min_size=0, max_size=6).map(Poly))
 def test_render_parse_roundtrip(p):
     assert parse_poly(render(p)) == p
+
+
+def test_integer_literal_past_the_digit_limit(digit_limit):
+    digits = "7" * 641
+    with digit_limit(640):
+        for text, position in ((f"{digits}*x", 0), (f"x^{digits}", 2), (f"x+1/{digits}", 4)):
+            with pytest.raises(ParseError, match="integer literal of 641 digits") as info:
+                parse_poly(text)
+            assert info.value.position == position
+        assert parse_poly("7" * 640) == Poly.const(int("7" * 640))
