@@ -28,7 +28,7 @@ for label, spec, make in (("generic (alpha = 7)", generic_spec,
                           ("integer-range (alpha = 1)", integer_spec,
                            BilinearForm.xi)):
     form = make(spec)
-    report = ortho_check(spec, form, 8)
+    report = ortho_check(form, 8)
     print(f"{label}: triangular orthogonality up to n = 8:", report.passed)
     qs = [q_poly(spec, n) for n in range(5)]
     print("  pairing table <q_n, q_i>, i <= n <= 4:")

@@ -24,7 +24,7 @@ for d in (3, 4, 5):
           f"checked n <= {result.n_max}, band {result.band}")
     for p in result.basis:
         print("   ", render(p))
-    print("  re-verified on rows up to n_max + 10:", reverify_probe(spec, result))
+    print("  re-verified on rows up to n_max + 10:", reverify_probe(result))
     print()
 
 # Consecutive seed degrees push the first nonconstant member up to

@@ -24,8 +24,8 @@ from .laguerre import laguerre
 from .linalg import InconsistentSystem, LinearSolution, solve_linear
 from .parsing import ParseError, parse_poly
 from .poly import LaurentPoly, Poly, as_rat, integer_roots, rat_str, render
-from .special import (binom_rat, casoratian, combinatorial_identity_check,
-                      from_binomial_basis, poch, to_binomial_basis)
+from .special import (binom_rat, casoratian, combinatorial_identity_check, poch,
+                      to_binomial_basis)
 
 
 def _lazy(name: str):
@@ -49,9 +49,9 @@ _LAZY = {
                      "u_function", "u_function_alt"), forms),
     **dict.fromkeys(("AlgebraProbeResult", "ObstructionResult", "RecurrenceTable",
                      "RhoRecurrenceResult", "ThreeTermResult", "algebra_probe",
-                     "expand_in_q", "obstruction_test", "recurrence_table",
-                     "reverify_probe", "rho_bound", "rho_recurrence", "three_term_test",
-                     "verify_band"), recurrence),
+                     "obstruction_test", "recurrence_table", "reverify_probe",
+                     "rho_bound", "rho_recurrence", "three_term_test", "verify_band"),
+                    recurrence),
     **dict.fromkeys(("degenerate_preset", "krall_preset", "match_krall_parameters",
                      "reduce_representation"), krall),
 }
@@ -75,9 +75,8 @@ __all__ = [
     "Poly", "RecurrenceTable", "RhoRecurrenceResult",
     "ThreeTermResult", "VariantError", "algebra_probe", "as_rat", "beta",
     "binom_rat", "casoratian", "certify_admissible", "closed_form_moment",
-    "combinatorial_identity_check",
-    "degenerate_preset", "expand_in_q", "from_binomial_basis",
-    "integer_roots", "kappa_matrix", "kappa_solve", "krall_preset", "laguerre",
+    "combinatorial_identity_check", "degenerate_preset", "integer_roots",
+    "kappa_matrix", "kappa_solve", "krall_preset", "laguerre",
     "match_krall_parameters", "obstruction_test", "omega",
     "ortho_check", "parse_poly", "poch", "q_poly", "rat_str",
     "recurrence_table", "reduce_representation", "render", "reverify_probe",

@@ -31,8 +31,7 @@ from types import SimpleNamespace
 # subcommands read their names at call time
 from . import forms, recurrence
 from .family import (AdmissibilityCertificate, DegenerateFamily, FamilySpec,
-                     InvalidPreset, _unique_keys, certify_admissible, q_poly,
-                     spec_from_json_dict)
+                     certify_admissible, q_poly, spec_from_json)
 from .parsing import ParseError, parse_poly
 from .poly import Poly, rat_str, record, render
 
@@ -47,20 +46,18 @@ class CliError(Exception):
 
 
 def _load_family(path: str) -> FamilySpec:
+    """The family of the config file at path, read by family.spec_from_json;
+    every way it can fail is a config error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
+            return spec_from_json(fh.read())
     except OSError as e:
         raise CliError(f"cannot read config: {e}", "config") from e
     except json.JSONDecodeError as e:
         raise CliError(f"config is not valid JSON: {e}", "config") from e
     except UnicodeDecodeError as e:
         raise CliError(f"config is not valid UTF-8: {e}", "config") from e
-    except ValueError as e:  # a key given twice, or an integer past the digit limit
-        raise CliError(f"invalid family config: {e}", "config") from e
-    try:
-        return spec_from_json_dict(obj)
-    except (ValueError, InvalidPreset, ParseError) as e:
+    except ValueError as e:  # ParseError, InvalidPreset and spec_from_json's own refusals
         raise CliError(f"invalid family config: {e}", "config") from e
 
 
@@ -193,7 +190,7 @@ def cmd_ortho(args: SimpleNamespace) -> int:
         form = forms.BilinearForm(args.family, None, variant)
     except forms.VariantError as e:
         raise CliError(str(e), "variant") from e
-    report = forms.ortho_check(args.family, form, args.nmax)
+    report = forms.ortho_check(form, args.nmax)
     table = Table(("n", "i", "value"), report.entries, title="Pairings",
                   colspec="rrl", heads=(r"$n$", r"$i$", "value"))
     payload = {
@@ -252,7 +249,7 @@ def cmd_three_term(args: SimpleNamespace) -> int:
 
 def cmd_probe(args: SimpleNamespace) -> int:
     result = recurrence.algebra_probe(args.family, args.deg, args.band, args.nmax)
-    ok = recurrence.reverify_probe(args.family, result)
+    ok = recurrence.reverify_probe(result)
     table = Table(("index", "Q"), list(enumerate(result.basis)),
                   title="Eigenvalue algebra basis", colspec="rl",
                   heads=(r"\#", r"$Q$"))

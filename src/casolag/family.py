@@ -268,4 +268,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def spec_from_json(text: str) -> FamilySpec:
-    return spec_from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
+    """spec_from_json_dict of the JSON text.  A key given twice, an integer
+    past the digit limit and nesting too deep to decode raise ValueError."""
+    try:
+        return spec_from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
+    except RecursionError:
+        raise ValueError("arrays or objects nested too deeply to decode") from None

@@ -193,7 +193,6 @@ class BilinearForm:
         self.spec = spec
         self.kappa = kappa if kappa is not None else kappa_matrix(spec)
         self.variant = variant
-        self._corrections = None
         self._p, self._q = spec.alpha.numerator, spec.alpha.denominator
         ws, k = _seed_ws(spec), spec.max_g + 1
         self._wden, wints = clear_denominators(
@@ -217,10 +216,8 @@ class BilinearForm:
         """The U_i: u_function for the generic variant; for xi, the same with
         the x^(i-m) head scaled by (i-m+alpha+1)_d, which vanishes exactly
         for the rows where that power would reach a Gamma pole."""
-        if self._corrections is None:
-            self._corrections = [_correction(self.spec, [Fraction(w, self._wden) for w in W],
-                                             i, self._d) for i, W in enumerate(self._weights)]
-        return self._corrections
+        return [_correction(self.spec, [Fraction(w, self._wden) for w in W], i, self._d)
+                for i, W in enumerate(self._weights)]
 
     def _column(self, b: int, n: int) -> list[int]:
         """q^a _wden c_b[a] for a < n at least."""
@@ -279,22 +276,16 @@ class BilinearForm:
 def closed_form_moment(spec: FamilySpec, kappa_row: Sequence, k: int, u: int) -> Fraction:
     """Closed form of <x^k L_u, x^i> / Gamma(alpha) for the row's kappa:
 
-        sum_g kappa^g sum_{l=k}^g (alpha-l)_k w_l^g binom(u+l-k, l-k).
+        sum_{l=k}^{maxG} (alpha-l)_k W[l] binom(u+l-k, l-k),
 
-    Valid for u >= k >= 0; reduces to sum_g kappa^g R_g(u) at k = 0.
+    with W the row's seed weights (module docstring).  Valid for u >= k >= 0;
+    reduces to sum_g kappa^g R_g(u) at k = 0.
     """
     if not 0 <= k <= u:
         raise ValueError("needs 0 <= k <= u")
-    alpha = spec.alpha
-    total = Fraction(0)
-    for kap, g in zip(kappa_row, spec.G):
-        kap = as_rat(kap)
-        if kap == 0:
-            continue
-        w = to_binomial_basis(spec.R[g])
-        for l in range(k, g + 1):
-            total += kap * poch(alpha - l, k) * w[l] * binom_rat(u + l - k, l - k)
-    return total
+    W = _row_weights(spec, kappa_row)
+    return sum((poch(spec.alpha - l, k) * W[l] * binom_rat(u + l - k, l - k)
+                for l in range(k, spec.max_g + 1)), Fraction(0))
 
 
 @record
@@ -306,14 +297,15 @@ class OrthoReport:
     first_violation: tuple[int, int, Fraction] | None = None
 
 
-def ortho_check(spec: FamilySpec, form: BilinearForm, nmax: int) -> OrthoReport:
-    """Verify <q_n, q_i> = 0 for i < n <= nmax and <q_n, q_n> != 0, exactly.
+def ortho_check(form: BilinearForm, nmax: int) -> OrthoReport:
+    """Verify <q_n, q_i> = 0 for i < n <= nmax and <q_n, q_n> != 0, exactly,
+    for the members q_n of form.spec, the family the form belongs to.
 
     Pairs q_n with q_0..q_n in that order, so the form builds q_n's Gram row
     once and each pairing is one dot product."""
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    qs = [q_poly(spec, n) for n in range(nmax + 1)]
+    qs = [q_poly(form.spec, n) for n in range(nmax + 1)]
     entries = []
     violation = None
     for n in range(nmax + 1):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .family import FamilySpec, InvalidPreset
 from .linalg import InconsistentSystem, solve_linear
+from .parsing import MAX_DEGREE
 from .poly import Poly, as_rat
 from .special import binom_poly, poch
 
@@ -56,6 +57,7 @@ def krall_preset(alpha: int, m: int, a: Sequence) -> FamilySpec:
         raise InvalidPreset("alpha and m must be integers")
     if m < 1 or alpha < m:
         raise InvalidPreset("needs alpha >= m >= 1")
+    _check_degree(alpha, m)
     a = [as_rat(v) for v in a]
     if len(a) != m:
         raise InvalidPreset(f"a must have length m = {m}")
@@ -77,12 +79,19 @@ def degenerate_preset(alpha: int, m: int, a_tilde: Sequence) -> FamilySpec:
         raise InvalidPreset("alpha and m must be integers")
     if alpha < 1 or alpha >= m:
         raise InvalidPreset("needs 1 <= alpha <= m-1")
+    _check_degree(alpha, m)
     a_tilde = [as_rat(v) for v in a_tilde]
     if len(a_tilde) != m:
         raise InvalidPreset(f"a_tilde must have length m = {m}")
     return FamilySpec(Fraction(alpha), tuple(range(alpha, alpha + m)),
                       {alpha + h - 1: _preset_seed(alpha, h, a_tilde, h + alpha - m - 1)
                        for h in range(1, m + 1)})
+
+
+def _check_degree(alpha: int, m: int) -> None:
+    """Seeds reach degree alpha+m-1, held to the parser's cap on explicit seeds."""
+    if alpha + m - 1 > MAX_DEGREE:
+        raise InvalidPreset(f"seed degree alpha+m-1 = {alpha + m - 1} exceeds {MAX_DEGREE}")
 
 
 def _preset_seed(alpha: int, h: int, a: Sequence[Fraction], l_top: int) -> Poly:

@@ -12,7 +12,9 @@ Grammar (precedence climbing, lowest first):
 means (7/2)*x and 'x/2' is rejected.  Exponents must be literal nonnegative
 integers, and a power is refused before it is built when the exponent times
 its base's degree (a constant counting as degree 1) exceeds MAX_DEGREE, so
-'x^100000000' is a ParseError rather than 10^8 coefficients.  The output of
+'x^100000000' is a ParseError rather than 10^8 coefficients; so is a product
+whose factors' degrees add up past MAX_DEGREE, such as 'x^600*x^600'.  A sum
+cannot raise the degree, so no polynomial built exceeds it.  The output of
 poly.render is accepted and round-trips up to that degree.  Parentheses and
 unary signs recurse, so nesting them more than MAX_DEPTH levels deep is a
 ParseError rather than a RecursionError, and an integer literal longer than
@@ -45,7 +47,7 @@ _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([x+\-*/^()]))")
 _END = ("end", "", -1)
 
 MAX_DEPTH = 100  # six stack frames a level: 600 stay below the default limit of 1000
-MAX_DEGREE = 1000  # largest degree one power may build
+MAX_DEGREE = 1000  # largest degree a power or a product may build
 
 
 def _tokenize(text: str):
@@ -134,10 +136,14 @@ class _Parser:
     def factor(self) -> Poly:
         left = self.power()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                left = left * self.power()
+                right = self.power()
+                if left.degree + right.degree > MAX_DEGREE:
+                    raise ParseError(f"product too large: degrees {left.degree} and "
+                                     f"{right.degree} add up past {MAX_DEGREE}", pos)
+                left = left * right
             else:
                 return left
 

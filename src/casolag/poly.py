@@ -254,8 +254,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # a square past the top bit would go unused
+                base = base * base
         return result
 
     def __eq__(self, other):

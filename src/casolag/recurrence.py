@@ -159,15 +159,6 @@ def _q_window(betas: Sequence[Rung], n: int) -> Window:
     return n + 1 - len(b), [v * scale.denominator for v in reversed(b)], scale.numerator
 
 
-def expand_in_q(spec: FamilySpec, p: Poly) -> list[Fraction]:
-    """Coefficients c with p = sum_k c_k q_k: the engine applied to p * L_0."""
-    if p.is_zero():
-        return []
-    betas = _extend_ladder(spec, [], p.degree)
-    lo, c = _coefficients(_expand(spec.alpha, p, (0, [1], 1), betas)[0], betas)
-    return [Fraction(0)] * lo + c
-
-
 def recurrence_table(spec: FamilySpec, Q: Poly, n_range: int) -> RecurrenceTable:
     """gamma_{n,j} with Q q_n = sum_j gamma_{n,j} q_{n+j}, for n = 0..n_range."""
     if Q.is_zero():
@@ -314,10 +305,12 @@ class AlgebraProbeResult:
     band: int
     n_max: int
     basis: list[Poly]
-    # the engine's beta ladder for k <= n_max + degree_cap, which
-    # reverify_probe extends instead of recomputing, and the integer rows the
-    # basis solves (_constraint_rows of rows band < n <= n_max), which it
-    # checks again; as _-prefixed fields they stay out of repr and ==
+    # the family probed, which reverify_probe re-checks on; the engine's beta
+    # ladder for k <= n_max + degree_cap, which it extends instead of
+    # recomputing; and the integer rows the basis solves (_constraint_rows of
+    # rows band < n <= n_max), which it checks again.  As _-prefixed fields
+    # they stay out of repr and ==
+    _spec: FamilySpec
     _betas: list[Rung]
     _rows: list[list[int]]
 
@@ -368,12 +361,12 @@ def algebra_probe(spec: FamilySpec, d: int, band: int | None = None,
     else:
         basis = [Poly(vec) for vec in solve_linear(rows, None).nullspace]
     return AlgebraProbeResult(degree_cap=d, band=B, n_max=N, basis=basis,
-                              _betas=betas, _rows=rows)
+                              _spec=spec, _betas=betas, _rows=rows)
 
 
-def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10) -> bool:
-    """Re-check every probe basis element on rows 0..n_max + extra: no
-    coefficient below -band may appear.
+def reverify_probe(result: AlgebraProbeResult, extra: int = 10) -> bool:
+    """Re-check every probe basis element on rows 0..n_max + extra of the
+    family the probe ran on: no coefficient below -band may appear.
 
     Rows n_max+1..n_max+extra get their constraint rows as the probe's own
     did, over the probe's beta ladder, with powers up to the largest basis
@@ -390,7 +383,7 @@ def reverify_probe(spec: FamilySpec, result: AlgebraProbeResult, extra: int = 10
     if N <= result.band:
         return False
     top = max(Q.degree for Q in result.basis)
-    more = islice(_monomial_residuals(spec, list(result._betas),
+    more = islice(_monomial_residuals(result._spec, list(result._betas),
                                       range(result.n_max + 1, N + 1), result.band), top + 1)
     rows = result._rows + _constraint_rows(list(more), result.band)
     for Q in result.basis:

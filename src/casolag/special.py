@@ -42,13 +42,15 @@ def binom_rat(top, k: int) -> Fraction:
 
 
 def binom_poly(l: int) -> Poly:
-    """binom(x+l, l) = (x+1)(x+2)...(x+l)/l! as a Poly of degree l."""
+    """binom(x+l, l) = (x+1)(x+2)...(x+l)/l! as a Poly of degree l, with
+    the product's coefficients built in integers."""
     if l < 0:
         raise ValueError("binom_poly needs l >= 0")
-    p = Poly.one()
-    for k in range(1, l + 1):
-        p = p * Poly((k, 1))
-    return p * Fraction(1, math.factorial(l))
+    c = [1]
+    for k in range(1, l + 1):  # c times (x + k)
+        c = [a * k + b for a, b in zip(c + [0], [0] + c)]
+    f = math.factorial(l)
+    return Poly(Fraction(v, f) for v in c)
 
 
 def to_binomial_basis(p: Poly) -> list[Fraction]:
@@ -66,16 +68,6 @@ def to_binomial_basis(p: Poly) -> list[Fraction]:
         for k in range(len(v) - 1, l - 1, -1):
             v[k] = v[k - 1] - v[k]
     return [Fraction(c, lcm) for c in v]
-
-
-def from_binomial_basis(w: Sequence) -> Poly:
-    """Inverse of to_binomial_basis."""
-    out = Poly.zero()
-    for l, c in enumerate(w):
-        c = as_rat(c)
-        if c != 0:
-            out = out + c * binom_poly(l)
-    return out
 
 
 def _shifted_values(polys: Sequence[Poly], x: int, width: int) -> tuple[int, list[list[int]]]:

@@ -101,12 +101,12 @@ def test_criterion_4_probe_recovers_algebra_members():
         r4 = algebra_probe(FAMILY_A7, 4)
         assert r4.dimension == 2
         assert [render(p) for p in r4.basis] == ["1", "x^4+16*x^3"]
-        assert reverify_probe(FAMILY_A7, r4)
+        assert reverify_probe(r4)
         r5 = algebra_probe(FAMILY_A7, 5)
         assert r5.dimension == 3
         assert [render(p) for p in r5.basis] == \
             ["1", "x^4+16*x^3", "x^5-15*x^3"]
-        assert reverify_probe(FAMILY_A7, r5)
+        assert reverify_probe(r5)
 
 
 ALPHAS = (F(7), F(3, 2), F(22, 7))
@@ -131,7 +131,7 @@ def test_criterion_5_randomized_triangular_orthogonality():
         rng = random.Random(20260814)
         for idx in range(5):
             spec = _random_admissible(rng, ALPHAS[idx % 3])
-            report = ortho_check(spec, BilinearForm.generic(spec), 12)
+            report = ortho_check(BilinearForm.generic(spec), 12)
             assert report.passed, (spec.G, report.first_violation)
 
 

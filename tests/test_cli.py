@@ -14,6 +14,8 @@ from casolag import Poly, render
 from casolag.cli import main
 from casolag.parsing import MAX_DEGREE
 
+from test_parsing import refuse_large_products
+
 REMARK = {"alpha": 7, "G": [1, 2, 5],
           "R": {"1": "x-1", "2": "x^2+1", "5": "x^5+x^4+x^3+1"}}
 CLOSING = {"alpha": 1, "G": [1, 2, 4],
@@ -318,6 +320,21 @@ def test_deep_nesting_in_q_flag(cfg, capsys, text):
     assert error["kind"] == "usage" and error["message"].startswith("bad --Q: nesting deeper")
 
 
+@pytest.mark.parametrize("nested", ["[" * 100000 + "]" * 100000,
+                                    '{"a": ' * 100000 + "1" + "}" * 100000],
+                         ids=["arrays", "objects"])
+def test_config_nested_too_deeply(capsys, tmp_path, nested):
+    # json's decoder raises RecursionError, which used to end in a traceback
+    path = tmp_path / "deep.json"
+    path.write_text('{"alpha": ' + nested + ', "G": [1], "R": {"1": "x"}}')
+    code, out, err = run(capsys, "check", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": {
+        "kind": "config",
+        "message": "invalid family config: arrays or objects nested too deeply to decode"}}
+
+
 def test_bad_polynomial_in_config(cfg, capsys):
     bad = {"alpha": 7, "G": [1], "R": {"1": "x/2"}}
     code, _, err = run(capsys, "check", "--config", cfg(bad))
@@ -347,6 +364,34 @@ def test_huge_power_in_q_flag(cfg, capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["kind"] == "usage"
     assert error["message"].startswith("bad --Q: power too large")
+
+
+def test_huge_product_in_q_flag(cfg, capsys, monkeypatch):
+    path = cfg(REMARK)
+    refuse_large_products(monkeypatch)
+    code, out, err = run(capsys, "recur", "--config", path,
+                         "--Q", "x^1000*x^1000*x^1000*x^1000+1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": {"kind": "usage", "message": (
+        "bad --Q: product too large: degrees 1000 and 1000 add up past 1000 at position 6")}}
+
+
+def test_preset_seed_past_max_degree(cfg, capsys):
+    # the seeds of a preset reach degree alpha+m-1, held to the parser's cap
+    config = {"preset": "krall", "alpha": MAX_DEGREE + 1, "m": 1, "a": ["1"]}
+    code, out, err = run(capsys, "preset", "--config", cfg(config))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": {"kind": "config", "message": (
+        "invalid family config: seed degree alpha+m-1 = 1001 exceeds 1000")}}
+
+
+def test_preset_seed_at_max_degree(cfg, capsys):
+    config = {"preset": "krall", "alpha": MAX_DEGREE, "m": 1, "a": ["1"]}
+    code, out, _ = run(capsys, "preset", "--config", cfg(config))
+    assert code == 0
+    assert json.loads(out)["family"]["G"] == [MAX_DEGREE]
 
 
 def test_huge_power_in_seed(cfg, capsys, monkeypatch):

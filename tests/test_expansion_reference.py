@@ -3,8 +3,8 @@
 `reference_expand` is the algorithm the engine replaced: build the q ladder
 as dense power-basis polynomials and peel off the top coefficient of the
 residual, degree by degree.  It shares nothing with the engine but q_poly,
-so exact agreement on recurrence rows, on expand_in_q and on probe bases
-checks the β-row back-substitution and the three-term x action.  Its probe
+so exact agreement on recurrence rows and on probe bases checks the β-row
+back-substitution and the three-term x action.  Its probe
 basis comes from test_linalg's reference_solve, the Gauss-Jordan elimination
 over Fraction, so it shares no elimination code with the probe either.
 
@@ -27,7 +27,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from casolag import (DegenerateFamily, FamilySpec, Poly, algebra_probe, beta,
-                     degenerate_preset, expand_in_q, krall_preset, parse_poly,
+                     degenerate_preset, krall_preset, parse_poly,
                      q_poly, recurrence_table, reverify_probe)
 from casolag.poly import clear_denominators
 from casolag.recurrence import (_back_substitute, _coefficients, _extend_ladder,
@@ -167,14 +167,6 @@ def test_recurrence_rows_match_reference(name, coeffs, N):
     assert table.rows == reference_rows(name, Q, N)
 
 
-@settings(max_examples=60, deadline=None)
-@given(families, st.lists(small_rats, min_size=0, max_size=10))
-def test_expand_in_q_matches_reference(name, coeffs):
-    p = Poly(coeffs)
-    top = max(p.degree, 0)
-    assert expand_in_q(FAMILIES[name], p) == reference_expand(p, q_ladder(name, top))
-
-
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(["nonsegment", "krall"]), st.integers(0, 4), st.data())
 def test_probe_basis_matches_reference(name, d, data):
@@ -207,14 +199,14 @@ def test_reverify_matches_reference(name, d, data):
                 continue
             lo, c = _coefficients(_back_substitute(*windows[n], betas)[0], betas)
             assert {t - n: g for t, g in enumerate(c, lo) if g != 0} == below
-    assert reverify_probe(spec, res, extra) == reference_reverify(spec, res, extra)
+    assert reverify_probe(res, extra) == reference_reverify(spec, res, extra)
 
 
 def test_truncated_probe_fails_reverification():
     spec = FAMILIES["nonsegment"]
     res = algebra_probe(spec, 4, n_max=5)
     assert reference_reverify(spec, res) is False
-    assert reverify_probe(spec, res) is False
+    assert reverify_probe(res) is False
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,12 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 import casolag.family
+import casolag.krall
 import casolag.poly
 from casolag import (DegenerateFamily, FamilySpec, InvalidPreset, Poly, beta,
                      certify_admissible, degenerate_preset, krall_preset,
                      laguerre, match_krall_parameters, omega, parse_poly,
                      q_poly, reduce_representation, render, spec_from_json,
                      spec_to_json)
+from casolag.parsing import MAX_DEGREE
 
 
 def test_spec_validation():
@@ -219,6 +221,23 @@ def test_krall_preset_validation():
         krall_preset(2, 2, [F(1)])  # wrong length
 
 
+def test_presets_refuse_seeds_past_max_degree(monkeypatch):
+    # seeds reach degree alpha+m-1, held to the parser's cap on explicit
+    # seeds; the refusal comes before any seed is built
+    build = casolag.krall.binom_poly
+
+    def guarded(l):
+        assert l <= MAX_DEGREE, f"built binom_poly({l})"
+        return build(l)
+    monkeypatch.setattr(casolag.krall, "binom_poly", guarded)
+    for alpha in (MAX_DEGREE + 1, 100000):
+        with pytest.raises(InvalidPreset, match=f"= {alpha} exceeds {MAX_DEGREE}"):
+            krall_preset(alpha, 1, ["1"])
+    with pytest.raises(InvalidPreset, match=f"= {MAX_DEGREE + 1} exceeds"):
+        degenerate_preset(2, MAX_DEGREE, ["1"] * MAX_DEGREE)
+    assert max(krall_preset(MAX_DEGREE, 1, ["1"]).G) == MAX_DEGREE
+
+
 def test_degenerate_preset_seeds():
     spec = degenerate_preset(1, 2, [F(0), F(2)])
     assert spec.G == (1, 2)
@@ -309,6 +328,16 @@ def test_spec_naming_a_seed_twice_rejected():
     # "01" and 1 name one degree: the spec does not keep the last silently
     with pytest.raises(ValueError, match=re.escape('R names one seed twice, keys ["01", 1]')):
         FamilySpec(7, (1,), {"01": parse_poly("x+3"), 1: parse_poly("x+5")})
+
+
+@pytest.mark.parametrize("nested", ["[" * 100000 + "]" * 100000,
+                                    '{"a": ' * 100000 + "1" + "}" * 100000],
+                         ids=["arrays", "objects"])
+def test_json_nested_too_deeply_is_a_value_error(nested):
+    # json raises RecursionError past the interpreter's recursion limit
+    text = '{"alpha": ' + nested + ', "G": [1], "R": {"1": "x"}}'
+    with pytest.raises(ValueError, match="nested too deeply to decode"):
+        spec_from_json(text)
 
 
 def test_json_rejects_floats():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casolag.forms
-from casolag import (BilinearForm, FamilySpec, Poly, VariantError,
+from casolag import (BilinearForm, FamilySpec, Poly, VariantError, binom_rat,
                      closed_form_moment, kappa_matrix, kappa_solve, laguerre,
                      ortho_check, parse_poly, poch, q_poly, u_function,
                      u_function_alt)
@@ -103,9 +103,40 @@ def test_closed_form_moment_requires_k_le_u(nonsegment_spec):
         closed_form_moment(nonsegment_spec, row, 3, 2)
 
 
+def reference_closed_form_moment(spec, kappa_row, k, u):
+    """The double sum closed_form_moment used to take, expanding every seed
+    with a nonzero kappa entry in the binomial basis on its own:
+    sum_g kappa^g sum_{l=k}^g (alpha-l)_k w_l^g binom(u+l-k, l-k)."""
+    total = F(0)
+    for kap, g in zip(kappa_row, spec.G):
+        if kap != 0:
+            w = to_binomial_basis(spec.R[g])
+            for l in range(k, g + 1):
+                total += kap * poch(spec.alpha - l, k) * w[l] * binom_rat(u + l - k, l - k)
+    return total
+
+
+MOMENT_FAMILIES = [
+    FamilySpec(F(7), (1, 2, 5), {1: parse_poly("x-1"), 2: parse_poly("x^2+1"),
+                                 5: parse_poly("x^5+x^4+x^3+1")}),
+    FamilySpec(F(1), (1, 2, 4), {1: parse_poly("x+2"), 2: parse_poly("x^2"),
+                                 4: parse_poly("x^4+1")}),
+    FamilySpec(F(22, 7), (2, 3), {2: parse_poly("x^2+1"), 3: parse_poly("x^3+x")}),
+]
+kappas = st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MOMENT_FAMILIES), st.integers(0, 8), st.data())
+def test_closed_form_moment_matches_double_sum(spec, u, data):
+    row = data.draw(st.lists(kappas, min_size=spec.m, max_size=spec.m), label="kappa")
+    k = data.draw(st.integers(0, u), label="k")
+    assert closed_form_moment(spec, row, k, u) == reference_closed_form_moment(spec, row, k, u)
+
+
 def test_ortho_generic(nonsegment_spec):
     form = BilinearForm.generic(nonsegment_spec)
-    report = ortho_check(nonsegment_spec, form, 8)
+    report = ortho_check(form, 8)
     assert report.passed
     assert report.first_violation is None
     assert report.variant == "generic"
@@ -120,12 +151,12 @@ def test_ortho_generic(nonsegment_spec):
 def test_ortho_refuses_negative_nmax(nonsegment_spec):
     # used to pass with no entries
     with pytest.raises(ValueError, match="got -1"):
-        ortho_check(nonsegment_spec, BilinearForm.generic(nonsegment_spec), -1)
+        ortho_check(BilinearForm.generic(nonsegment_spec), -1)
 
 
 def test_ortho_xi(integer_alpha_spec):
     form = BilinearForm.xi(integer_alpha_spec)
-    report = ortho_check(integer_alpha_spec, form, 8)
+    report = ortho_check(form, 8)
     assert report.passed
     assert report.variant == "xi"
 
@@ -135,7 +166,7 @@ def test_ortho_xi_halfway_alpha():
     spec = FamilySpec(F(2), (1, 2), {1: parse_poly("x+1"),
                                      2: parse_poly("x^2+x+1")})
     form = BilinearForm.xi(spec)
-    assert ortho_check(spec, form, 6).passed
+    assert ortho_check(form, 6).passed
 
 
 def test_ortho_detects_wrong_kappa(nonsegment_spec):
@@ -145,7 +176,7 @@ def test_ortho_detects_wrong_kappa(nonsegment_spec):
     rows = [km.row(i) for i in range(spec.m)]
     swapped = type(km)(rows=(rows[1], rows[0], rows[2]))
     form = BilinearForm(spec, swapped, "generic")
-    report = ortho_check(spec, form, 6)
+    report = ortho_check(form, 6)
     assert not report.passed
     assert report.first_violation is not None
 
@@ -161,7 +192,7 @@ def test_xi_diagonal_uses_canonical_kappa(integer_alpha_spec):
 def test_generic_inner_never_hits_pole(segment_spec):
     # alpha = 22/7 with maxG = 3: all gamma ratios stay finite
     form = BilinearForm.generic(segment_spec)
-    report = ortho_check(segment_spec, form, 7)
+    report = ortho_check(form, 7)
     assert report.passed
 
 

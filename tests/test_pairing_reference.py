@@ -147,7 +147,7 @@ def test_ortho_check_entries_match_reference(variant, alpha, seeds):
     form = BilinearForm(s, None, variant)
     corrections = reference_corrections(form)
     nmax = 20
-    report = ortho_check(s, form, nmax)
+    report = ortho_check(form, nmax)
     assert report.passed
     qs = [q_poly(s, n) for n in range(nmax + 1)]
     assert [(n, i) for n, i, _ in report.entries] == [

@@ -78,7 +78,19 @@ def test_deep_nesting_is_a_parse_error(text):
     assert "nesting deeper" in str(ei.value)
 
 
-def test_powers_up_to_max_degree_parse():
+def refuse_large_products(monkeypatch):
+    build = Poly.__mul__
+
+    def guarded(self, other):
+        if isinstance(other, Poly):
+            assert self.degree + other.degree <= MAX_DEGREE, "built a product past the cap"
+        return build(self, other)
+    monkeypatch.setattr(Poly, "__mul__", guarded)
+
+
+def test_powers_up_to_max_degree_parse(monkeypatch):
+    # a power squares its base no further than its exponent needs
+    refuse_large_products(monkeypatch)
     assert parse_poly(f"x^{MAX_DEGREE}") == Poly.monomial(MAX_DEGREE)
     assert parse_poly(f"(x^2+1)^{MAX_DEGREE // 2}").degree == MAX_DEGREE
     assert parse_poly(f"2^{MAX_DEGREE}") == Poly.const(2 ** MAX_DEGREE)
@@ -106,6 +118,29 @@ def test_power_above_max_degree_is_refused_unbuilt(monkeypatch, text, position):
         parse_poly(text)
     assert ei.value.position == position
     assert "power too large" in str(ei.value)
+
+
+def test_products_up_to_max_degree_parse():
+    half = MAX_DEGREE // 2
+    assert parse_poly(f"x^{half}*x^{MAX_DEGREE - half}") == Poly.monomial(MAX_DEGREE)
+    assert parse_poly(f"2*x^{MAX_DEGREE}*3").degree == MAX_DEGREE
+    assert parse_poly(f"x^{MAX_DEGREE}*0*x^{MAX_DEGREE}").is_zero()
+
+
+@pytest.mark.parametrize("text,position", [
+    ("x^1000*x^1000*x^1000*x^1000+1", 6),
+    ("x*x^1000", 1),
+    ("x^600*(x^300+1)*(x^100+x)^2", 15),
+    ("(x^2+1)^300*(x^2+1)^201", 11),
+    ("3*x^500*(x^500*x)", 7),
+    ("x*(x^500*x^501)", 8),
+])
+def test_product_above_max_degree_is_refused_unbuilt(monkeypatch, text, position):
+    refuse_large_products(monkeypatch)
+    with pytest.raises(ParseError) as ei:
+        parse_poly(text)
+    assert ei.value.position == position
+    assert "product too large" in str(ei.value)
 
 
 def test_error_mentions_offset():

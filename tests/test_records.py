@@ -4,7 +4,7 @@ record semantics of poly.record (construction, repr, ==, frozen, hash).
 
 The pinned reprs are those the same instances had when the classes were
 standard-library dataclasses; the field order and the fields left out of ==
-(AlgebraProbeResult's _betas and _rows) are pinned the same way.
+(AlgebraProbeResult's _spec, _betas and _rows) are pinned the same way.
 """
 
 import json
@@ -164,8 +164,9 @@ CASES = [
     (ObstructionResult, ("obstructed", "witness", "bands_refuted_up_to"), (True, 2, 20),
      {"witness": None, "bands_refuted_up_to": None},
      "ObstructionResult(obstructed=True, witness=2, bands_refuted_up_to=20)"),
-    (AlgebraProbeResult, ("degree_cap", "band", "n_max", "basis", "_betas", "_rows"),
-     (2, 2, 16, [Poly.one(), Poly((0, 0, 1))], [], []), {},
+    (AlgebraProbeResult,
+     ("degree_cap", "band", "n_max", "basis", "_spec", "_betas", "_rows"),
+     (2, 2, 16, [Poly.one(), Poly((0, 0, 1))], FamilySpec(7, (1,), {1: X1}), [], []), {},
      "AlgebraProbeResult(degree_cap=2, band=2, n_max=16, basis=[Poly(1), Poly(x^2)])"),
     (RhoRecurrenceResult, ("rho", "band", "table", "band_ok", "extremes_from", "passed"),
      (3, 4, TABLE, True, 4, True), {},
@@ -237,10 +238,11 @@ def test_family_spec_hashes_by_value():
 
 def test_probe_result_equality_ignores_engine_state():
     basis = [Poly.one()]
-    a = AlgebraProbeResult(1, 1, 12, basis, _betas=[((1,), F(1))], _rows=[[1]])
-    b = AlgebraProbeResult(1, 1, 12, basis, _betas=[], _rows=[])
+    a = AlgebraProbeResult(1, 1, 12, basis, _spec=FamilySpec(7, (1,), {1: X1}),
+                           _betas=[((1,), F(1))], _rows=[[1]])
+    b = AlgebraProbeResult(1, 1, 12, basis, _spec=None, _betas=[], _rows=[])
     assert a == b
-    assert a != AlgebraProbeResult(1, 1, 13, basis, [], [])
+    assert a != AlgebraProbeResult(1, 1, 13, basis, None, [], [])
 
 
 def test_family_spec_post_init_still_validates():

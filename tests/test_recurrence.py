@@ -3,40 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 import casolag.recurrence
-from hypothesis import given, settings, strategies as st
 
 from casolag import (DegenerateFamily, FamilySpec, Poly, algebra_probe,
-                     expand_in_q, krall_preset, obstruction_test, parse_poly, q_poly,
+                     krall_preset, obstruction_test, parse_poly, q_poly,
                      recurrence_table, render, reverify_probe, rho_bound,
                      rho_recurrence, three_term_test, verify_band)
 from casolag.cli import main
-
-
-def test_expand_in_q_roundtrip(nonsegment_spec):
-    p = parse_poly("x^4-3*x^2+1/2")
-    coeffs = expand_in_q(nonsegment_spec, p)
-    back = Poly.zero()
-    for k, c in enumerate(coeffs):
-        back = back + c * q_poly(nonsegment_spec, k)
-    assert back == p
-    assert len(coeffs) == p.degree + 1
-    assert expand_in_q(nonsegment_spec, Poly.zero()) == []
-
-
-rats = st.fractions(min_value=-60, max_value=60, max_denominator=12)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(rats, min_size=1, max_size=5))
-def test_expand_in_q_roundtrip_random(coeffs):
-    spec = FamilySpec(F(7), (1, 2), {1: parse_poly("x+1"),
-                                     2: parse_poly("x^2+x+1")})
-    p = Poly(coeffs)
-    out = expand_in_q(spec, p)
-    back = Poly.zero()
-    for k, c in enumerate(out):
-        back = back + c * q_poly(spec, k)
-    assert back == p
 
 
 # Omega(x) = x - 10: q_0..q_9 exist, q_10 would lose degree
@@ -46,14 +18,12 @@ BOUNDARY = FamilySpec(F(7), (1,), {1: parse_poly("x-9")})
 def test_ladder_reaches_last_member_before_omega_root():
     table = recurrence_table(BOUNDARY, Poly.monomial(2), 7)  # uses q_0..q_9
     assert set(table.rows) == set(range(8))
-    assert len(expand_in_q(BOUNDARY, Poly.monomial(9))) == 10
 
 
 @pytest.mark.parametrize("call", [
     lambda: recurrence_table(BOUNDARY, Poly.monomial(2), 8),
     lambda: algebra_probe(BOUNDARY, 2, n_max=8),
-    lambda: expand_in_q(BOUNDARY, Poly.monomial(10)),
-], ids=["recurrence_table", "algebra_probe", "expand_in_q"])
+], ids=["recurrence_table", "algebra_probe"])
 def test_ladder_stops_at_omega_root(call):
     with pytest.raises(DegenerateFamily) as e:
         call()
@@ -69,7 +39,7 @@ def test_reverify_ladder_stops_at_basis_degree(tmp_path, capsys):
     # taken to n_max + 10 + d = 30 would meet the root
     res = algebra_probe(LATE_ROOT, 2, n_max=18)
     assert [render(p) for p in res.basis] == ["1"]
-    assert reverify_probe(LATE_ROOT, res) is True
+    assert reverify_probe(res) is True
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"alpha": "7/2", "G": [2],
                                 "R": {"2": "x^2-86/3*x-29/3"}}))
@@ -197,7 +167,7 @@ def test_obstruction_inconclusive_for_x4(nonsegment_spec):
     (lambda spec: three_term_test(spec, -1), "nmax must be >= 0, got -1"),
     (lambda spec: algebra_probe(spec, 3, band=-2), "band=-2"),
     (lambda spec: algebra_probe(spec, 3, n_max=-5), "n_max=-5"),
-    (lambda spec: reverify_probe(spec, algebra_probe(spec, 2), extra=-3), "got -3"),
+    (lambda spec: reverify_probe(algebra_probe(spec, 2), extra=-3), "got -3"),
 ])
 def test_negative_sizes_are_refused(call, value, nonsegment_spec):
     # each used to pass vacuously or fail with a bare IndexError
@@ -210,12 +180,12 @@ def test_reverify_needs_a_row_past_the_band(nonsegment_spec):
     # nothing would be checked
     res = algebra_probe(nonsegment_spec, 4, band=20, n_max=0)
     assert res.basis == [Poly.monomial(k) for k in range(5)]
-    assert reverify_probe(nonsegment_spec, res, extra=10) is False
-    assert reverify_probe(nonsegment_spec, res, extra=20) is False
+    assert reverify_probe(res, extra=10) is False
+    assert reverify_probe(res, extra=20) is False
     # row 21 exists and refutes every non-constant monomial
-    assert reverify_probe(nonsegment_spec, res, extra=21) is False
-    assert reverify_probe(nonsegment_spec, algebra_probe(nonsegment_spec, 0, band=20,
-                                                         n_max=0), extra=21) is True
+    assert reverify_probe(res, extra=21) is False
+    assert reverify_probe(algebra_probe(nonsegment_spec, 0, band=20, n_max=0),
+                          extra=21) is True
 
 
 def test_obstruction_guard_inside_integer_range(integer_alpha_spec):
@@ -233,7 +203,7 @@ def test_probe_nonsegment(nonsegment_spec):
     assert [render(p) for p in res.basis] == ["1", "x^4+16*x^3"]
     assert res.dimension == 2
     assert res.band == 4
-    assert reverify_probe(nonsegment_spec, res)
+    assert reverify_probe(res)
 
 
 def test_probe_degree_five(nonsegment_spec):
@@ -245,7 +215,7 @@ def test_probe_segment(segment_spec):
     assert [render(p) for p in algebra_probe(segment_spec, 3).basis] == ["1"]
     res = algebra_probe(segment_spec, 4)
     assert [render(p) for p in res.basis] == ["1", "x^4"]
-    assert reverify_probe(segment_spec, res)
+    assert reverify_probe(res)
 
 
 def test_probe_integer_alpha(integer_alpha_spec):
