@@ -13,7 +13,8 @@ must not vanish at any nonnegative integer (admissibility); then
 with beta_{n,j} the signed maximal minors of the (m+1)-column value matrix
 (R_g(n-i))_{i=0..m}, is a degree-n polynomial for every n.  Admissibility is
 certified, not sampled: Omega is a polynomial, so its nonnegative integer
-roots lie below a root bound, where Sturm sequences isolate them exactly.
+roots lie below a root bound, where a Sturm chain isolates them exactly.
+Omega and the beta rows start from the seeds' integer values, not Poly.
 
 Seed leading coefficients are not forced to 1/g!: rescaling a seed only
 rescales every q_n by the same constant, and all invariants used downstream
@@ -117,8 +118,9 @@ class AdmissibilityCertificate:
 
 
 def omega(spec: FamilySpec) -> Poly:
-    """det(R_{g_l}(x-j))_{l,j=1..m}; the casoratian of the seeds at x-1."""
-    return casoratian(spec.seeds()).translate(-1)
+    """det(R_{g_l}(x-j))_{l,j=1..m}: the Casoratian of the seeds with shift
+    1, interpolated from the seeds' integer values at the shifted nodes."""
+    return casoratian(spec.seeds(), 1)
 
 
 def certify_admissible(spec: FamilySpec) -> AdmissibilityCertificate:
@@ -126,9 +128,9 @@ def certify_admissible(spec: FamilySpec) -> AdmissibilityCertificate:
 
     All real roots of Omega lie strictly below the Cauchy bound
     1 + max_k |a_k|/|a_d|, so Omega's integer roots in [0, ceil(bound)],
-    isolated by Sturm sequences (poly.integer_roots), are all of its
-    nonnegative integer roots: the certificate is complete, and its cost is
-    polynomial in the bit size of Omega.
+    isolated by one Sturm remainder sequence in integers
+    (poly.integer_roots), are all of its nonnegative integer roots: the
+    certificate is complete, and its cost is polynomial in Omega's bit size.
     """
     om = omega(spec)
     if om.is_zero():

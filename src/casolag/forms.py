@@ -56,7 +56,7 @@ from fractions import Fraction
 from .family import DegenerateFamily, FamilySpec, q_poly
 from .linalg import InconsistentSystem, solve_linear
 from .poly import LaurentPoly, Poly, as_rat, clear_denominators, record
-from .special import binom_rat, poch, to_binomial_basis
+from .special import _shifted_values, binom_rat, poch, to_binomial_basis
 
 
 class VariantError(Exception):
@@ -77,24 +77,22 @@ def kappa_solve(spec: FamilySpec, i: int) -> list[Fraction]:
     Solves sum_g kappa^g R_g(-j) = 0 for j = 1..m-1-i together with the
     normalization sum_g kappa^g R_g(-(m-i)) = 1.  The system has full rank
     whenever Omega(0) != 0 (its rows are leading columns of the value
-    matrix behind Omega(0)), so admissible families always pass.
+    matrix behind Omega(0)), so admissible families always pass.  It is
+    solved on the seeds' integer values lcm_g R_g(-j) (special._shifted_values),
+    and each entry is then scaled by its seed's lcm_g: scaling a column moves
+    no pivot, so the RREF-canonical row is the same.
     """
     m = spec.m
     if not 0 <= i < m:
         raise ValueError(f"i must be in 0..{m - 1}")
-    rows = []
-    rhs = []
-    for j in range(1, m - i):
-        rows.append([spec.R[g](-j) for g in spec.G])
-        rhs.append(Fraction(0))
-    rows.append([spec.R[g](-(m - i)) for g in spec.G])
-    rhs.append(Fraction(1))
+    # cols[l] = [lcm_l R_l(-1), ..., lcm_l R_l(-(m-i))], one column per seed
+    lcms, cols = zip(*(_shifted_values([spec.R[g]], -1, m - i) for g in spec.G))
     try:
-        sol = solve_linear(rows, rhs)
+        sol = solve_linear(list(zip(*(col for (col,) in cols))), [0] * (m - i - 1) + [1])
     except InconsistentSystem as e:
         raise DegenerateFamily(
             "kappa system unsolvable; Omega(0) must vanish") from e
-    return list(sol.particular)
+    return [y * lcm for y, lcm in zip(sol.particular, lcms)]
 
 
 def kappa_matrix(spec: FamilySpec) -> KappaMatrix:
@@ -109,6 +107,8 @@ def _seed_ws(spec: FamilySpec) -> list[list[Fraction]]:
 def _seed_weights(spec: FamilySpec, ws: Sequence[Sequence[Fraction]],
                   kappa_row: Sequence) -> list[Fraction]:
     """W[l] = sum_{g >= l} kappa^g w_l^g for l = 0..maxG, with ws = _seed_ws(spec)."""
+    if len(kappa_row) != spec.m:
+        raise ValueError(f"a kappa row needs m = {spec.m} entries, got {len(kappa_row)}")
     W = [Fraction(0)] * (spec.max_g + 1)
     for kap, w in zip(kappa_row, ws):
         kap = as_rat(kap)
@@ -192,6 +192,8 @@ class BilinearForm:
             self._d = max(0, spec.m - _xi_alpha(spec))
         self.spec = spec
         self.kappa = kappa if kappa is not None else kappa_matrix(spec)
+        if len(self.kappa.rows) != spec.m:
+            raise ValueError(f"a kappa matrix needs m = {spec.m} rows, got {len(self.kappa.rows)}")
         self.variant = variant
         self._p, self._q = spec.alpha.numerator, spec.alpha.denominator
         ws, k = _seed_ws(spec), spec.max_g + 1

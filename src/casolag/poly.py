@@ -233,16 +233,17 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        # the product of the cleared integer lists, one Fraction per coefficient
+        (la, a), (lb, b) = clear_denominators(self.coeffs), clear_denominators(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Poly(out)
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        den = la * lb
+        return Poly(Fraction(c, den) for c in out)
 
     __rmul__ = __mul__
 
@@ -269,24 +270,15 @@ class Poly:
     def __hash__(self):
         return hash(("Poly", self.coeffs))
 
-    # -- evaluation / composition ------------------------------------
+    # -- evaluation ----------------------------------------------------
 
     def __call__(self, arg):
-        """Evaluate at a rational, or compose when arg is a Poly (Horner)."""
-        if isinstance(arg, Poly):
-            result = Poly()
-            for c in reversed(self.coeffs):
-                result = result * arg + Poly.const(c)
-            return result
+        """Evaluate at a rational (Horner)."""
         x = as_rat(arg)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def translate(self, c: RatLike) -> "Poly":
-        """p(x + c)."""
-        return self(Poly((as_rat(c), 1)))
 
     def deriv(self, k: int = 1) -> "Poly":
         if k < 0:
@@ -354,21 +346,23 @@ def integer_roots(p: Poly, lo: int, hi: int) -> list:
 
     Sturm's theorem: along the chain s, s', ..., s_{k+1} = -(s_{k-1} mod
     s_k) of a square-free s, the sign changes (zeros skipped) at a minus
-    those at b count the distinct real roots of s in (a, b].  s is
-    p / gcd(p, p'), which has p's roots, each simple; on p itself a multiple
-    root zeroes every chain member there and goes uncounted.  Bisection
-    keeps only the integer intervals (a, b] that hold a root, down to width
-    1, where p is evaluated exactly at b: O(deg p * log2(hi - lo + 2)) chain
-    evaluations, polynomial in the bit size of p, lo and hi.
+    those at b count the distinct real roots of s in (a, b].  One remainder
+    sequence of the primitive integer f = c*p ends in gcd(f, f'); divided by
+    that, it is the chain of s = f / gcd(f, f'), which has p's roots, each
+    simple.  Bisection keeps only the integer intervals (a, b] that hold a
+    root, down to width 1, where f is evaluated exactly at b: O(deg p *
+    log2(hi - lo + 2)) chain evaluations, polynomial in the bit size of p.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes at every integer")
     if hi < lo:
         return []
-    s = _primitive(_divmod(p.coeffs, _gcd(p.coeffs, p.deriv().coeffs))[0])
-    chain = [s, _primitive(Poly(s).deriv().coeffs)]
-    while len(chain[-1]) > 1:
+    f = _primitive(p.coeffs)
+    chain = [f, _primitive([k * c for k, c in enumerate(f)][1:])]
+    while chain[-1]:
         chain.append([-c for c in _primitive(_divmod(chain[-2], chain[-1])[1])])
+    chain.pop()  # the zero remainder; chain[-1] is now gcd(f, f')
+    chain = [_primitive(_divmod(s, chain[-1])[0]) for s in chain]
     roots = []
     todo = [(lo - 1, _sign_changes(chain, lo - 1), hi, _sign_changes(chain, hi))]
     while todo:
@@ -376,7 +370,7 @@ def integer_roots(p: Poly, lo: int, hi: int) -> list:
         if va == vb:
             continue
         if b - a == 1:
-            if p(b) == 0:
+            if not sum(c * b ** k for k, c in enumerate(f)):
                 roots.append(b)
             continue
         c = (a + b) // 2
@@ -425,12 +419,6 @@ def _divmod(a, b):
     while r and r[-1] == 0:
         r.pop()
     return q, r
-
-
-def _gcd(a, b) -> list:
-    while b:
-        a, b = b, _primitive(_divmod(a, b)[1])
-    return a
 
 
 class LaurentPoly:

@@ -274,6 +274,8 @@ def obstruction_test(spec: FamilySpec, Q: Poly, n_check: int = 20) -> Obstructio
     from the integer range 1..maxG).  When obstructed, also refutes every
     symmetric band s <= n_check directly on the computed table.
     """
+    if n_check < 0:
+        raise ValueError(f"n_check must be >= 0, got {n_check}")
     if Q.is_zero():
         raise ValueError("Q must be nonzero")
     a = spec.alpha
@@ -421,6 +423,8 @@ def rho_recurrence(spec: FamilySpec, p: Poly, nmax: int) -> RhoRecurrenceResult:
     at the origin), so the verdict asks for a tail: both extremes nonzero
     from some n0 <= nmax onward, reported as extremes_from.
     """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     if p.is_zero():
         raise ValueError("p must be nonzero")
     rho = rho_bound(spec)

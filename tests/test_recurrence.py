@@ -175,6 +175,16 @@ def test_negative_sizes_are_refused(call, value, nonsegment_spec):
         call(nonsegment_spec)
 
 
+def test_negative_sizes_are_refused_by_their_own_name(nonsegment_spec, integer_alpha_spec):
+    # x + 1 has no witness, so a negative n_check used to pass unchecked;
+    # x^2 and rho_recurrence used to name recurrence_table's n_range
+    for Q in (parse_poly("x+1"), parse_poly("x^2")):
+        with pytest.raises(ValueError, match=r"^n_check must be >= 0, got -1$"):
+            obstruction_test(nonsegment_spec, Q, n_check=-1)
+    with pytest.raises(ValueError, match=r"^nmax must be >= 0, got -3$"):
+        rho_recurrence(integer_alpha_spec, Poly.one(), -3)
+
+
 def test_reverify_needs_a_row_past_the_band(nonsegment_spec):
     # rows 0..n_max + extra = 0..20 hold no coefficient below -20, so
     # nothing would be checked
