@@ -21,8 +21,8 @@ cert = certify_admissible(spec)
 print("determinant:", render(cert.omega))
 print("admissible: ", cert.passed)
 print("searched n <=", cert.integer_scan_bound, "(beyond the root bound the")
-print("leading term dominates, and Sturm sequences count every root below")
-print("it exactly, so the certificate is a proof, not a heuristic)")
+print("leading term dominates, and the derivative sequence isolates every")
+print("integer root below it exactly, so the certificate is a proof)")
 print()
 
 for n in range(6):

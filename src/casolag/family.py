@@ -13,7 +13,7 @@ must not vanish at any nonnegative integer (admissibility); then
 with beta_{n,j} the signed maximal minors of the (m+1)-column value matrix
 (R_g(n-i))_{i=0..m}, is a degree-n polynomial for every n.  Admissibility is
 certified, not sampled: Omega is a polynomial, so its nonnegative integer
-roots lie below a root bound, where a Sturm chain isolates them exactly.
+roots lie below a root bound, where its derivative sequence isolates them.
 Omega and the beta rows start from the seeds' integer values, not Poly.
 
 Seed leading coefficients are not forced to 1/g!: rescaling a seed only
@@ -128,9 +128,9 @@ def certify_admissible(spec: FamilySpec) -> AdmissibilityCertificate:
 
     All real roots of Omega lie strictly below the Cauchy bound
     1 + max_k |a_k|/|a_d|, so Omega's integer roots in [0, ceil(bound)],
-    isolated by one Sturm remainder sequence in integers
-    (poly.integer_roots), are all of its nonnegative integer roots: the
-    certificate is complete, and its cost is polynomial in Omega's bit size.
+    isolated in integers along its derivative sequence (poly.integer_roots),
+    are all of its nonnegative integer roots: the certificate is complete,
+    and its cost is polynomial in Omega's bit size.
     """
     om = omega(spec)
     if om.is_zero():

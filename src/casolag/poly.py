@@ -280,14 +280,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def deriv(self, k: int = 1) -> "Poly":
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        cs = self.coeffs
-        for _ in range(k):
-            cs = tuple(Fraction(i) * cs[i] for i in range(1, len(cs)))
-        return Poly(cs)
-
     def shift_down(self, k: int) -> "Poly":
         """Divide exactly by x^k; the low k coefficients must vanish."""
         if k < 0:
@@ -344,50 +336,53 @@ def _render_terms(terms) -> str:
 def integer_roots(p: Poly, lo: int, hi: int) -> list:
     """The integers n with lo <= n <= hi and p(n) = 0, ascending.
 
-    Sturm's theorem: along the chain s, s', ..., s_{k+1} = -(s_{k-1} mod
-    s_k) of a square-free s, the sign changes (zeros skipped) at a minus
-    those at b count the distinct real roots of s in (a, b].  One remainder
-    sequence of the primitive integer f = c*p ends in gcd(f, f'); divided by
-    that, it is the chain of s = f / gcd(f, f'), which has p's roots, each
-    simple.  Bisection keeps only the integer intervals (a, b] that hold a
-    root, down to width 1, where f is evaluated exactly at b: O(deg p *
-    log2(hi - lo + 2)) chain evaluations, polynomial in the bit size of p.
+    Along the derivative sequence (Collins and Loos), in integers.  Strip
+    x^v from the primitive f = c*p (0 is a root iff v > 0) and clamp
+    [lo, hi] to [-B, B], B a power of two above Fujiwara's root bound
+    2*max_k |a_{d-k}/a_d|^(1/k).  For k = d-1 down to 0, keep a set of
+    integer ends, from {lo, hi}, with no real root of f^(k)/k! inside a gap
+    between consecutive ends wider than 1: there f^(k) is monotone, as
+    f^(k+1) has no root inside, so bisection on exact signs pins its one
+    root to a unit gap whose ends join the set.  An integer root of f,
+    multiple or not, is then an end, where f is evaluated.  No polynomial
+    division: O(deg^2) ends, each found in log2(2B) steps, polynomial in
+    the bit size of p.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes at every integer")
+    f = _primitive(p.coeffs)
+    v = next(k for k, c in enumerate(f) if c)
+    f = f[v:]
+    d, top = len(f) - 1, f[-1].bit_length()
+    # |a_{d-k}/a_d|^(1/k) < 2^e_k, e_k = ceil((bits(a_{d-k}) - bits(a_d) + 1)/k)
+    e = max((-((top - 1 - c.bit_length()) // k)
+             for k, c in enumerate(reversed(f[:-1]), 1) if c), default=0)
+    bound = 2 << max(e, 0)
+    lo, hi = max(lo, -bound), min(hi, bound)
     if hi < lo:
         return []
-    f = _primitive(p.coeffs)
-    chain = [f, _primitive([k * c for k, c in enumerate(f)][1:])]
-    while chain[-1]:
-        chain.append([-c for c in _primitive(_divmod(chain[-2], chain[-1])[1])])
-    chain.pop()  # the zero remainder; chain[-1] is now gcd(f, f')
-    chain = [_primitive(_divmod(s, chain[-1])[0]) for s in chain]
-    roots = []
-    todo = [(lo - 1, _sign_changes(chain, lo - 1), hi, _sign_changes(chain, hi))]
-    while todo:
-        a, va, b, vb = todo.pop()
-        if va == vb:
-            continue
-        if b - a == 1:
-            if not sum(c * b ** k for k, c in enumerate(f)):
-                roots.append(b)
-            continue
-        c = (a + b) // 2
-        vc = _sign_changes(chain, c)
-        todo += [(c, vc, b, vb), (a, va, c, vc)]
-    return roots
+    ends, g = {lo, hi}, f[-1:]
+    for k in reversed(range(d)):  # g = f^(k)/k! from f^(k+1)/(k+1)!
+        g = [f[k]] + [c * (k + 1) // (j + 1) for j, c in enumerate(g)]
+        ts = sorted(ends)
+        signs = [_horner(g, t) for t in ts]
+        for s, t, vs, vt in zip(ts, ts[1:], signs, signs[1:]):
+            if vs * vt < 0:  # a root; g is monotone on [s, t] if t > s + 1
+                while t - s > 1:
+                    c = (s + t) // 2
+                    vc = _horner(g, c)
+                    s, t, vs, vt = (s, c, vs, vc) if vs * vc <= 0 else (c, t, vc, vt)
+                ends |= {s, t}
+    roots = [t for t in sorted(ends) if not _horner(f, t)]
+    return sorted(roots + [0]) if v and lo <= 0 <= hi else roots
 
 
-def _sign_changes(chain, x: int) -> int:
-    signs = []
-    for cs in chain:
-        v = 0
-        for c in reversed(cs):
-            v = v * x + c
-        if v:
-            signs.append(v > 0)
-    return sum(u != w for u, w in zip(signs, signs[1:]))
+def _horner(cs, x: int) -> int:
+    """The integer coefficient list cs, ascending, evaluated at x."""
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
 
 
 def clear_denominators(values: Sequence) -> tuple[int, list[int]]:
@@ -405,20 +400,6 @@ def _primitive(cs) -> list:
     ints = clear_denominators(cs)[1]
     g = math.gcd(*ints)
     return [c // g for c in ints]
-
-
-def _divmod(a, b):
-    """Quotient and remainder of ascending coefficient lists, b[-1] != 0."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for k in reversed(range(len(q))):
-        q[k] = r[k + len(b) - 1] / b[-1]
-        for i, bi in enumerate(b):
-            r[k + i] -= q[k] * bi
-    r = r[:len(b) - 1]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
 
 
 class LaurentPoly:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -14,6 +15,8 @@ from casolag import (DegenerateFamily, FamilySpec, InvalidPreset, Poly, beta,
                      q_poly, reduce_representation, render, spec_from_json,
                      spec_to_json)
 from casolag.parsing import MAX_DEGREE
+
+from test_poly import deriv
 
 
 def test_spec_validation():
@@ -91,15 +94,31 @@ def test_certify_far_root():
         ("fail", 1000000001, 1000000002)
 
 
+def random_odd_family(m: int) -> FamilySpec:
+    """alpha = 17/2, G = {1, 3, ..., 2m-1}, monic seeds whose lower
+    coefficients random.Random(1) draws from [-5, 5], seed by seed, ascending."""
+    rng = random.Random(1)
+    G = tuple(range(1, 2 * m, 2))
+    return FamilySpec(F(17, 2), G, {g: Poly([rng.randint(-5, 5) for _ in range(g)] + [1])
+                                    for g in G})
+
+
 @pytest.mark.parametrize("spec", [
     FamilySpec(F(7), (1,), {1: parse_poly("x-1000000000")}),
     FamilySpec(F(7), (1,), {1: parse_poly("2*x-100001")}),
     degenerate_preset(2, 4, [1, 2, 3, 5]),   # scan bound 311041, degree 8
     FamilySpec(F(22, 7), (2, 3), {2: parse_poly("x^2"), 3: parse_poly("x^3")}),
-], ids=["far-root", "wide", "degenerate", "fail-at-one"])
+    krall_preset(50, 1, ["1"]),              # degree 50, scan bound of 215 bits
+    random_odd_family(8),                    # degree 36
+    # Omega of degree 21 with a triple root: inadmissible
+    FamilySpec(F(17, 2), tuple(range(1, 12, 2)),
+               {g: parse_poly(f"x^{g}+1") for g in range(1, 12, 2)}),
+], ids=["far-root", "wide", "degenerate", "fail-at-one", "krall-50", "random-odd-8",
+        "triple-root"])
 def test_certify_evaluates_omega_polylog_times(spec, monkeypatch):
-    """At most 2 * deg * log2(scan bound) evaluations of Omega or of its
-    Sturm chain (poly._sign_changes evaluates the whole chain at a point)."""
+    """At most 2 * deg * log2(scan bound) evaluations of Omega or of the
+    derivatives that poly.integer_roots walks up (each poly._horner call
+    evaluates one of them at one point)."""
     om = omega(spec)
     bound = math.ceil(1 + max(abs(c / om.lead) for c in om.coeffs[:-1]))
     budget = 2 * om.degree * math.ceil(math.log2(bound + 2))
@@ -115,7 +134,7 @@ def test_certify_evaluates_omega_polylog_times(spec, monkeypatch):
 
     monkeypatch.setattr(casolag.family, "omega", lambda _spec: om)
     monkeypatch.setattr(Poly, "__call__", counted(Poly.__call__))
-    monkeypatch.setattr(casolag.poly, "_sign_changes", counted(casolag.poly._sign_changes))
+    monkeypatch.setattr(casolag.poly, "_horner", counted(casolag.poly._horner))
     cert = certify_admissible(spec)
     assert cert.integer_scan_bound == bound and 0 < calls <= budget
 
@@ -259,7 +278,7 @@ def test_degenerate_preset_origin_vanishing():
     for n in range(2, 9):
         q = q_poly(spec, n)
         assert q(F(0)) == 0
-        assert q.deriv()(F(0)) == 0
+        assert deriv(q)(F(0)) == 0
     assert q_poly(spec, 1)(F(0)) != 0
 
 
