@@ -19,13 +19,12 @@ import sys
 
 from .family import (AdmissibilityCertificate, BetaRow, DegenerateFamily,
                      FamilySpec, InvalidPreset, beta, certify_admissible, omega,
-                     q_poly, spec_from_json, spec_from_json_dict, spec_to_json)
+                     q_poly, spec_from_json, spec_from_json_dict)
 from .laguerre import laguerre
 from .linalg import InconsistentSystem, LinearSolution, solve_linear
 from .parsing import ParseError, parse_poly
 from .poly import LaurentPoly, Poly, as_rat, integer_roots, rat_str, render
-from .special import (binom_rat, casoratian, combinatorial_identity_check, poch,
-                      to_binomial_basis)
+from .special import binom_rat, casoratian, poch, to_binomial_basis
 
 
 def _lazy(name: str):
@@ -75,12 +74,12 @@ __all__ = [
     "Poly", "RecurrenceTable", "RhoRecurrenceResult",
     "ThreeTermResult", "VariantError", "algebra_probe", "as_rat", "beta",
     "binom_rat", "casoratian", "certify_admissible", "closed_form_moment",
-    "combinatorial_identity_check", "degenerate_preset", "integer_roots",
+    "degenerate_preset", "integer_roots",
     "kappa_matrix", "kappa_solve", "krall_preset", "laguerre",
     "match_krall_parameters", "obstruction_test", "omega",
     "ortho_check", "parse_poly", "poch", "q_poly", "rat_str",
     "recurrence_table", "reduce_representation", "render", "reverify_probe",
     "rho_bound", "rho_recurrence", "solve_linear", "spec_from_json",
-    "spec_from_json_dict", "spec_to_json", "three_term_test", "u_function",
+    "spec_from_json_dict", "three_term_test", "u_function",
     "u_function_alt", "verify_band",
 ]

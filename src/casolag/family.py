@@ -16,6 +16,15 @@ certified, not sampled: Omega is a polynomial, so its nonnegative integer
 roots lie below a root bound, where its derivative sequence isolates them.
 Omega and the beta rows start from the seeds' integer values, not Poly.
 
+Each beta_{n,j} is a polynomial in n of degree <= D = sum(G) - m(m-1)/2 =
+deg Omega.  In the minor with column j deleted, replace the k-th kept
+column by the divided difference of the kept columns c_0..c_k: a triangular
+change with nonzero diagonal, after which column k has degree <= g - k in
+n, so the minor has degree <= sum(G) - (0 + 1 + ... + m-1) = D.  So the
+beta ladder behind q_rung (one memo per spec) takes determinant rows for n
+<= D only, each when first asked for, and each later row by D exact integer
+additions per column on the backward differences of rows 0..D.
+
 Seed leading coefficients are not forced to 1/g!: rescaling a seed only
 rescales every q_n by the same constant, and all invariants used downstream
 are stated in a normalization-free way.
@@ -26,13 +35,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .laguerre import laguerre_ints
 from .linalg import det_int
 from .parsing import parse_poly
-from .poly import (Poly, as_rat, clear_denominators, integer_roots, rat_str, record,
-                   render)
-from .special import _shifted_values, casoratian
+from .poly import Poly, as_rat, integer_roots, rat_str, record, render
+from .special import _cleared, _shifted_values, casoratian
 
 
 class DegenerateFamily(Exception):
@@ -152,7 +161,8 @@ def beta(spec: FamilySpec, n: int) -> BetaRow:
     and beta_{n,0} = Omega(n), beta_{n,m} = (-1)^m Omega(n+1).  The value
     matrix is the Casoratian's, in integers (special._shifted_values), so
     the minors are integer determinants (det_int), divided once by its
-    scale.
+    scale.  Each beta_{n,j} is a polynomial in n of degree <= D (module
+    docstring), which is what lets q_rung take rows past D by differences.
     """
     if n < 0:
         raise ValueError("needs n >= 0")
@@ -162,19 +172,59 @@ def beta(spec: FamilySpec, n: int) -> BetaRow:
         for j in range(spec.m + 1)))
 
 
+@lru_cache(maxsize=8)
+def _ladder(spec: FamilySpec) -> tuple[int, int, dict[int, list[int]], list[list[int]]]:
+    """The spec's beta ladder, grown by _ladder_row: (scale, D, rows,
+    nablas) with scale the product of the seeds' denominator lcms, D = deg
+    Omega, rows[n] = scale * beta_n in integers, and once a row past D is
+    asked for, nablas[j][k] the k-th backward difference of column j at the
+    last row, k = 0..D."""
+    scale = math.prod(_cleared(p)[0] for p in spec.seeds())
+    return scale, sum(spec.G) - spec.m * (spec.m - 1) // 2, {}, []
+
+
+def _ladder_row(spec: FamilySpec, n: int) -> tuple[int, list[int]]:
+    """(scale, rows[n]) of _ladder(spec).  A row n <= D is beta's
+    determinants, taken alone; rows past D need rows 0..D once, then each
+    costs D additions per column (nabla^k += nabla^(k+1), k = D-1..0, as
+    nabla^D is constant)."""
+    scale, D, rows, nablas = _ladder(spec)
+    if n in rows:
+        return scale, rows[n]
+    if n <= D:
+        rows[n] = [v.numerator * (scale // v.denominator) for v in beta(spec, n).values]
+        return scale, rows[n]
+    if not nablas:
+        for col in zip(*(_ladder_row(spec, k)[1] for k in range(D + 1))):
+            nabla, diffs = [], list(col)
+            while diffs:
+                nabla.append(diffs[-1])
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            nablas.append(nabla)
+    while len(rows) <= n:  # rows holds 0..len(rows)-1 once nablas exist
+        for nabla in nablas:
+            for i in range(D - 1, -1, -1):
+                nabla[i] += nabla[i + 1]
+        rows[len(rows)] = [nabla[0] for nabla in nablas]
+    return scale, rows[n]
+
+
 def q_rung(spec: FamilySpec, n: int) -> tuple[tuple[int, ...], Fraction]:
     """q_n's coefficients beta_{n,0..min(m,n)} on L_n, ..., L_{n-min(m,n)},
     as a primitive integer row b and the positive scale with b = scale * beta.
 
-    Raises DegenerateFamily when Omega(n) = 0, because then beta_{n,0} = 0
-    and the degree drops below n.
+    Read from the spec's memoized ladder (_ladder_row): beta's determinants
+    for rows n <= D = deg Omega, exact backward differences after, so a
+    ladder of N rows costs min(N, D + 1) determinant rows.  Raises
+    DegenerateFamily when Omega(n) = 0, because then beta_{n,0} = 0 and the
+    degree drops below n.
     """
-    values = beta(spec, n).values
-    if values[0] == 0:
+    scale, v = _ladder_row(spec, n)
+    if v[0] == 0:
         raise DegenerateFamily(f"Omega({n}) = 0: q_{n} would lose degree")
-    den, ints = clear_denominators(values[:min(spec.m, n) + 1])
-    g = math.gcd(*ints)
-    return tuple(b // g for b in ints), Fraction(den, g)
+    v = v[:min(spec.m, n) + 1]
+    g = math.gcd(*v)
+    return tuple(b // g for b in v), Fraction(scale, g)
 
 
 def q_poly(spec: FamilySpec, n: int) -> Poly:
@@ -193,10 +243,6 @@ def q_poly(spec: FamilySpec, n: int) -> Poly:
 
 
 # -- JSON interchange -------------------------------------------------
-
-
-def spec_to_json(spec: FamilySpec) -> str:
-    return json.dumps(spec.to_json_dict(), sort_keys=True, indent=2)
 
 
 _JSON_TYPES = {list: "an array", dict: "an object", str: "a string"}

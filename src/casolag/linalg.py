@@ -42,10 +42,6 @@ class LinearSolution:
     nullspace: list[list[Fraction]]
     pivot_columns: list[int]
 
-    @property
-    def unique(self) -> bool:
-        return self.particular is not None and not self.nullspace
-
 
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     """Bareiss forward pass over integer rows, in place, pivoting in columns

@@ -132,7 +132,7 @@ def rat_str(v: Fraction) -> str:
 class Poly:
     """Immutable dense polynomial, coefficients ascending by power."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [as_rat(c) for c in coeffs]
@@ -268,7 +268,12 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        # kept once taken: a spec is hashed at every read of its memoized ladder
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(("Poly", self.coeffs)))
+            return self._hash
 
     # -- evaluation ----------------------------------------------------
 
@@ -343,7 +348,8 @@ def integer_roots(p: Poly, lo: int, hi: int) -> list:
     integer ends, from {lo, hi}, with no real root of f^(k)/k! inside a gap
     between consecutive ends wider than 1: there f^(k) is monotone, as
     f^(k+1) has no root inside, so bisection on exact signs pins its one
-    root to a unit gap whose ends join the set.  An integer root of f,
+    root to a unit gap whose ends join the set.  So each level evaluates
+    f^(k) only at the ends of gaps wider than 1.  An integer root of f,
     multiple or not, is then an end, where f is evaluated.  No polynomial
     division: O(deg^2) ends, each found in log2(2B) steps, polynomial in
     the bit size of p.
@@ -365,9 +371,11 @@ def integer_roots(p: Poly, lo: int, hi: int) -> list:
     for k in reversed(range(d)):  # g = f^(k)/k! from f^(k+1)/(k+1)!
         g = [f[k]] + [c * (k + 1) // (j + 1) for j, c in enumerate(g)]
         ts = sorted(ends)
-        signs = [_horner(g, t) for t in ts]
-        for s, t, vs, vt in zip(ts, ts[1:], signs, signs[1:]):
-            if vs * vt < 0:  # a root; g is monotone on [s, t] if t > s + 1
+        wide = [(s, t) for s, t in zip(ts, ts[1:]) if t - s > 1]
+        signs = {t: _horner(g, t) for gap in wide for t in gap}
+        for s, t in wide:
+            vs, vt = signs[s], signs[t]
+            if vs * vt < 0:  # a root, where g is monotone
                 while t - s > 1:
                     c = (s + t) // 2
                     vc = _horner(g, c)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import det_int
 from .poly import Poly, as_rat, clear_denominators
@@ -71,12 +72,20 @@ def to_binomial_basis(p: Poly) -> list[Fraction]:
     return [Fraction(c, lcm) for c in v]
 
 
+@lru_cache(maxsize=64)
+def _cleared(p: Poly) -> tuple[int, tuple[int, ...]]:
+    """(lcm, lcm * p's coefficients): a seed's integer form, cleared once
+    however many rows evaluate it."""
+    lcm, ints = clear_denominators(p.coeffs)
+    return lcm, tuple(ints)
+
+
 def _shifted_values(polys: Sequence[Poly], x: int, width: int) -> tuple[int, list[list[int]]]:
     """(scale, rows) with rows[i][j] = lcm_i * p_i(x - j), j < width, in
     integers: lcm_i clears p_i's denominators, and scale is their product."""
     scale, rows = 1, []
     for p in polys:
-        lcm, ints = clear_denominators(p.coeffs)
+        lcm, ints = _cleared(p)
         row = [0] * width
         for c in reversed(ints):  # Horner at x, x-1, ..., x-width+1 at once
             row = [v * (x - j) + c for j, v in enumerate(row)]
@@ -116,22 +125,3 @@ def casoratian(polys: Sequence[Poly], shift: int = 0) -> Poly:
         out[0] += c[k] * f
         f *= k
     return Poly(Fraction(v, scale * math.factorial(D)) for v in out)
-
-
-def combinatorial_identity_check(alpha: int, k: int, l: int, u_max: int) -> bool:
-    """Exact check of the alternating binomial convolution
-
-        sum_{j=0}^{l-alpha-k} (-1)^j binom(alpha+j+k-l-1, j) binom(alpha+u, alpha+j)
-            = binom(u+l-k, l-k)
-
-    for all integers u = 0..u_max.  Requires l >= alpha + k >= 0.
-    """
-    if alpha < 0 or k < 0 or l < alpha + k:
-        raise ValueError("needs alpha, k >= 0 and l >= alpha + k")
-    for u in range(u_max + 1):
-        lhs = Fraction(0)
-        for j in range(l - alpha - k + 1):
-            lhs += (-1) ** j * binom_rat(alpha + j + k - l - 1, j) * binom_rat(alpha + u, alpha + j)
-        if lhs != binom_rat(u + l - k, l - k):
-            return False
-    return True

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 from casolag import (BilinearForm, FamilySpec, Poly, algebra_probe, beta,
                      certify_admissible, closed_form_moment,
-                     combinatorial_identity_check, degenerate_preset,
+                     degenerate_preset,
                      kappa_matrix, krall_preset, laguerre,
                      match_krall_parameters, obstruction_test, omega,
                      ortho_check, parse_poly, q_poly, recurrence_table,
@@ -21,6 +21,7 @@ from casolag import (BilinearForm, FamilySpec, Poly, algebra_probe, beta,
                      u_function_alt, verify_band)
 
 from test_poly import deriv
+from test_special import combinatorial_identity_check
 
 FAMILY_A7 = FamilySpec(F(7), (1, 2, 5), {
     1: parse_poly("x-1"),

@@ -12,8 +12,7 @@ import casolag.poly
 from casolag import (DegenerateFamily, FamilySpec, InvalidPreset, Poly, beta,
                      certify_admissible, degenerate_preset, krall_preset,
                      laguerre, match_krall_parameters, omega, parse_poly,
-                     q_poly, reduce_representation, render, spec_from_json,
-                     spec_to_json)
+                     q_poly, reduce_representation, render, spec_from_json)
 from casolag.parsing import MAX_DEGREE
 
 from test_poly import deriv
@@ -165,6 +164,24 @@ def test_q_poly_degree_and_lead(nonsegment_spec):
         q = q_poly(nonsegment_spec, n)
         assert q.degree == n
         assert q.lead == F((-1) ** n) * om(F(n)) / math.factorial(n)
+
+
+def test_short_ladder_at_the_cap_takes_only_its_rows(monkeypatch):
+    # deg Omega = 1998 here: the ladder must not take its D + 1 = 1999
+    # determinant rows up front when q_8 needs at most rows 0..8
+    spec = FamilySpec(F(17, 2), (999, 1000), {
+        g: parse_poly(f"x^{g}+{g}*x+1") for g in (999, 1000)})
+    calls = 0
+    direct = casolag.family.beta
+
+    def counted(spec, n):
+        nonlocal calls
+        calls += 1
+        return direct(spec, n)
+
+    monkeypatch.setattr(casolag.family, "beta", counted)
+    assert q_poly(spec, 8).degree == 8
+    assert 0 < calls <= 9
 
 
 def test_q_poly_is_laguerre_combination(nonsegment_spec):
@@ -326,7 +343,7 @@ def test_match_krall_rejects(nonsegment_spec):
 
 
 def test_json_roundtrip(nonsegment_spec):
-    text = spec_to_json(nonsegment_spec)
+    text = json.dumps(nonsegment_spec.to_json_dict(), sort_keys=True, indent=2)
     back = spec_from_json(text)
     assert back == nonsegment_spec
     obj = json.loads(text)

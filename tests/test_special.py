@@ -6,7 +6,26 @@ from hypothesis import example, given, settings, strategies as st
 
 from casolag import (Poly, binom_rat, casoratian, parse_poly, poch,
                      to_binomial_basis)
-from casolag.special import binom_poly, combinatorial_identity_check
+from casolag.special import binom_poly
+
+
+def combinatorial_identity_check(alpha: int, k: int, l: int, u_max: int) -> bool:
+    """Exact check of the alternating binomial convolution
+
+        sum_{j=0}^{l-alpha-k} (-1)^j binom(alpha+j+k-l-1, j) binom(alpha+u, alpha+j)
+            = binom(u+l-k, l-k)
+
+    for all integers u = 0..u_max.  Requires l >= alpha + k >= 0.
+    """
+    if alpha < 0 or k < 0 or l < alpha + k:
+        raise ValueError("needs alpha, k >= 0 and l >= alpha + k")
+    for u in range(u_max + 1):
+        lhs = F(0)
+        for j in range(l - alpha - k + 1):
+            lhs += (-1) ** j * binom_rat(alpha + j + k - l - 1, j) * binom_rat(alpha + u, alpha + j)
+        if lhs != binom_rat(u + l - k, l - k):
+            return False
+    return True
 
 
 def test_poch_values():
