@@ -45,7 +45,7 @@ krall = _lazy("krall")
 _LAZY = {
     **dict.fromkeys(("BilinearForm", "KappaMatrix", "OrthoReport", "VariantError",
                      "closed_form_moment", "kappa_matrix", "kappa_solve", "ortho_check",
-                     "u_function", "u_function_alt"), forms),
+                     "u_function"), forms),
     **dict.fromkeys(("AlgebraProbeResult", "ObstructionResult", "RecurrenceTable",
                      "RhoRecurrenceResult", "ThreeTermResult", "algebra_probe",
                      "obstruction_test", "recurrence_table", "reverify_probe",
@@ -80,6 +80,5 @@ __all__ = [
     "ortho_check", "parse_poly", "poch", "q_poly", "rat_str",
     "recurrence_table", "reduce_representation", "render", "reverify_probe",
     "rho_bound", "rho_recurrence", "solve_linear", "spec_from_json",
-    "spec_from_json_dict", "three_term_test", "u_function",
-    "u_function_alt", "verify_band",
+    "spec_from_json_dict", "three_term_test", "u_function", "verify_band",
 ]

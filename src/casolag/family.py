@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laguerre import laguerre_ints
-from .linalg import det_int
+from .linalg import maximal_minors
 from .parsing import parse_poly
 from .poly import Poly, as_rat, integer_roots, rat_str, record, render
 from .special import _cleared, _shifted_values, casoratian
@@ -160,16 +160,15 @@ def beta(spec: FamilySpec, n: int) -> BetaRow:
     alternating sum sum_j beta_{n,j} R_g(n-j) vanishes for every g in G,
     and beta_{n,0} = Omega(n), beta_{n,m} = (-1)^m Omega(n+1).  The value
     matrix is the Casoratian's, in integers (special._shifted_values), so
-    the minors are integer determinants (det_int), divided once by its
-    scale.  Each beta_{n,j} is a polynomial in n of degree <= D (module
-    docstring), which is what lets q_rung take rows past D by differences.
+    the minors come from one fraction-free elimination (maximal_minors),
+    divided once by its scale.  Each beta_{n,j} is a polynomial in n of
+    degree <= D (module docstring), which is what lets q_rung take rows
+    past D by differences.
     """
     if n < 0:
         raise ValueError("needs n >= 0")
     scale, vals = _shifted_values(spec.seeds(), n, spec.m + 1)
-    return BetaRow(n, tuple(
-        Fraction((-1) ** j * det_int([row[:j] + row[j + 1:] for row in vals]), scale)
-        for j in range(spec.m + 1)))
+    return BetaRow(n, tuple(Fraction(v, scale) for v in maximal_minors(vals)))
 
 
 @lru_cache(maxsize=8)

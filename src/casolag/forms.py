@@ -118,13 +118,12 @@ def _seed_weights(spec: FamilySpec, ws: Sequence[Sequence[Fraction]],
     return W
 
 
-def _correction(spec: FamilySpec, W: Sequence[Fraction], i: int, d: int,
-                l_lo: int = 0) -> LaurentPoly:
-    """-(i-m+alpha+1)_d x^(i-m) + sum_{l=l_lo}^{maxG} (alpha-l)_l W[l] x^(-l-1),
+def _correction(spec: FamilySpec, W: Sequence[Fraction], i: int, d: int) -> LaurentPoly:
+    """-(i-m+alpha+1)_d x^(i-m) + sum_{l=0}^{maxG} (alpha-l)_l W[l] x^(-l-1),
     with W a row's seed weights."""
     return LaurentPoly.from_terms(
         [(i - spec.m, -poch(i - spec.m + spec.alpha + 1, d))]
-        + [(-l - 1, poch(spec.alpha - l, l) * W[l]) for l in range(l_lo, spec.max_g + 1)])
+        + [(-l - 1, poch(spec.alpha - l, l) * W[l]) for l in range(spec.max_g + 1)])
 
 
 def _row_weights(spec: FamilySpec, kappa_row: Sequence) -> list[Fraction]:
@@ -137,15 +136,6 @@ def u_function(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
         U_i = -x^(i-m) + sum_g kappa^g sum_{l=0}^g (alpha-l)_l w_l^g x^(-l-1).
     """
     return _correction(spec, _row_weights(spec, kappa_row), i, 0)
-
-
-def u_function_alt(spec: FamilySpec, kappa_row: Sequence, i: int) -> LaurentPoly:
-    """Collapsed form of u_function, valid when kappa_row annihilates the
-    seed values at -1..-(m-1-i): the powers above x^(i-m) cancel and
-
-        U_i = -x^(i-m) + sum_{l=m-i-1}^{maxG} (alpha-l)_l W[l] x^(-l-1).
-    """
-    return _correction(spec, _row_weights(spec, kappa_row), i, 0, max(spec.m - i - 1, 0))
 
 
 def _xi_alpha(spec: FamilySpec) -> int:

@@ -1,5 +1,5 @@
 """Exact linear algebra: one fraction-free elimination behind every solve,
-nullspace and determinant.
+nullspace, determinant and set of maximal minors.
 
 Rows are scaled to integers by the lcm of their denominators and run through
 Bareiss's forward pass: after k pivots every entry below the pivot rows is a
@@ -116,3 +116,21 @@ def det_int(M: Sequence[Sequence[int]]) -> int:
     pivots, sign, last = _eliminate([list(row) for row in M], n)
     return sign * last if len(pivots) == n else 0
 
+
+def maximal_minors(M: Sequence[Sequence[int]]) -> list[int]:
+    """(-1)^j det(M without column j), j = 0..m, of an integer m x (m+1)
+    matrix M, from one fraction-free pass.  They form a kernel vector of M
+    whose entry at the free column f is (-1)^f sign last, so the others
+    follow by exact back-substitution over the pivot rows; all are 0 when a
+    row has no pivot."""
+    m = len(M)
+    rows = [list(row) for row in M]
+    pivots, sign, last = _eliminate(rows, m + 1)
+    if len(pivots) < m:
+        return [0] * (m + 1)
+    f = next(c for c in range(m + 1) if c not in pivots)
+    x = {f: (-1) ** f * sign * last}
+    for r in reversed(range(m)):
+        p, row = pivots[r], rows[r]
+        x[p] = -sum(row[c] * v for c, v in x.items()) // row[p]
+    return [x[c] for c in range(m + 1)]

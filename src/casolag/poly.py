@@ -436,10 +436,6 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
-    def of_poly(p: Poly) -> "LaurentPoly":
-        return LaurentPoly(0, p.coeffs)
-
-    @staticmethod
     def from_terms(terms) -> "LaurentPoly":
         """Build from an iterable of (power, coeff); repeated powers add."""
         acc: dict = {}

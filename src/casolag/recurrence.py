@@ -11,17 +11,16 @@ and a scale, beta_{k,j} = b_{k,j} / scale_k.  q_n is supported on
 x-step applies x L_t = -(t+1) L_{t+1} + (2t+alpha+1) L_t - (t+alpha)
 L_{t-1}, multiplied through by alpha's denominator, and widens the window
 by one at each end (only at the top once it reaches L_0).  The
-back-substitution peels q_k off top down, for every k down to a stopping
-index, without dividing: with top entry e and g = gcd(e, b_{k,0}), the
-entries below k and den are multiplied by b_{k,0}/g and (e/g) b_{k,j} is
-subtracted at k-j.  Each entry keeps the den it was last written over and
-is brought up to the current one only when a step reads or writes it, so a
-step costs O(m) however long the window is.  The residual window left
-below the stopping index has its content taken out once, at the end; c_k
-= e scale_k / (den b_{k,0}) becomes a Fraction only for callers that need
-gamma.  A table of one Q applies Q by Horner on windows and
-back-substitutes each row to index 0, ending early once nothing nonzero is
-left below.  No public result carries a window or the ladder.
+back-substitution peels q_k off top down, for every k, without dividing:
+with top entry e and g = gcd(e, b_{k,0}), the entries below k and den are
+multiplied by b_{k,0}/g and (e/g) b_{k,j} is subtracted at k-j.  Each
+entry keeps the den it was last written over and is brought up to the
+current one only when a step reads or writes it, so a step costs O(m)
+however long the window is; c_k = e scale_k / (den b_{k,0}) becomes a
+Fraction only for callers that need gamma.  A table of one Q applies Q by
+Horner on windows and back-substitutes each row to index 0, ending early
+once nothing nonzero is left below.  No public result carries a window or
+the ladder.
 
 A subset of polynomials Q produce BANDED tables (gamma_{n,j} = 0 below a
 fixed shift -s with nonzero extremes); those Q form an algebra, probed here
@@ -30,11 +29,13 @@ residual of Q q_n below n - B, sum_{t<n-B} gamma_{n,t-n} q_t, is zero: the
 q_t are triangular in the Laguerre basis with nonzero diagonal Omega(t).
 The residual is linear in Q and lives on at most m + max(0, d-B) indices,
 so "no coefficients below the band through row N" is a small linear system
-in the coefficients of Q.  The probe builds the residuals of x^0..x^d in
-one pass over one beta ladder: one x-step per power and row, each
-back-substituted from n + k down to n - B only.  Row n's constraints are
-brought to one denominator across k, which leaves the nullspace as it is,
-and handed to the solver as integers.
+in the coefficients of Q.  Its d + 1 right-hand sides x^k q_n share the m
+outputs at L_u, u in [c - m, c), below the cut c = n - B, so the probe
+solves the transposed system (Tellegen's principle): per row, m integer
+functionals phi_u give the entry at L_u once q_c, q_{c+1}, ... are peeled
+off, and the residual of x^k q_n is its x-stepped window's entries below
+c - m and m dot products.  Rows are taken top down: peeling q_c takes the
+functionals of cut c + 1 to those of c in O(m (m + d + B)).
 
 Membership certified by the probe is always relative to the explored range
 (rows up to N, band B).  The re-verification helper guards against
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import count, islice
 from math import gcd, lcm
 from operator import mul
 
@@ -85,23 +85,16 @@ def _x_step(alpha: Fraction, lo: int, w: Sequence[int], den: int) -> Window:
     return out_lo, xw, den * q
 
 
-def _back_substitute(lo: int, w: Sequence[int], den: int, betas: Sequence[Rung],
-                     stop: int = 0) -> tuple[Tops, Window]:
-    """Peel the q_k off sum_i (w_i / den) L_{lo+i}, top down, for every k >= stop.
-
-    Returns (c, r): c = (lo_c, [(e_k, den_k)]), the top entry and den at
-    each index processed (see _coefficients), and r, the residual window
-    below stop with its content taken out.  A step at k writes only to
-    k-1..k-m, so the loop also ends as soon as no index below k can be
-    nonzero; each index processed needs betas[k].  w is left as it is.
-    """
+def _back_substitute(lo: int, w: Sequence[int], den: int, betas: Sequence[Rung]) -> Tops:
+    """Peel the q_k off sum_i (w_i / den) L_{lo+i}, top down: (lo_c, [(e_k,
+    den_k)]), the top entry and den at each index k processed (see
+    _coefficients).  A step at k writes only to k-1..k-m, so the loop ends
+    once no index below k can be nonzero.  w is left as it is."""
     hi = lo + len(w)
     rest = list(reversed(w))  # rest[i] is the entry of L_{hi-1-i}; grows downward
     dens = [den] * len(rest)  # the entry of L_{hi-1-i} is rest[i] / dens[i]
     tops = []
-    i = 0
-    while i < len(rest) and hi - 1 - i >= stop:
-        e = rest[i]
+    for i, e in enumerate(rest):  # rest grows while it is read
         if e and dens[i] != den:
             e *= den // dens[i]
         tops.append((e, den))
@@ -117,10 +110,7 @@ def _back_substitute(lo: int, w: Sequence[int], den: int, betas: Sequence[Rung],
                 else:
                     rest.append(-e * b[j])
                     dens.append(den)
-        i += 1
-    r = [v * (den // d) if v else 0 for v, d in zip(rest[i:], dens[i:])][::-1]
-    g = gcd(den, *r)
-    return (hi - i, tops[::-1]), (hi - len(rest), [v // g for v in r], den // g)
+    return hi - len(rest), tops[::-1]
 
 
 def _coefficients(c: Tops, betas: Sequence[Rung]) -> tuple[int, list[Fraction]]:
@@ -131,7 +121,7 @@ def _coefficients(c: Tops, betas: Sequence[Rung]) -> tuple[int, list[Fraction]]:
                 for k, (e, den) in enumerate(tops, lo)]
 
 
-def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung]) -> tuple[Tops, Window]:
+def _expand(alpha: Fraction, Q: Poly, v: Window, betas: Sequence[Rung]) -> Tops:
     """_back_substitute of Q times the window v, built by Horner's rule on
     windows (w <- x w + a v, from the top coefficient of Q down) over
     integer coefficients of Q."""
@@ -168,28 +158,61 @@ def recurrence_table(spec: FamilySpec, Q: Poly, n_range: int) -> RecurrenceTable
     betas = _extend_ladder(spec, [], n_range + Q.degree)
     rows = {}
     for n in range(n_range + 1):
-        lo, c = _coefficients(_expand(spec.alpha, Q, _q_window(betas, n), betas)[0], betas)
+        lo, c = _coefficients(_expand(spec.alpha, Q, _q_window(betas, n), betas), betas)
         rows[n] = {k - n: g for k, g in enumerate(c, lo) if g}
     return RecurrenceTable(Q=Q, n_range=range(n_range + 1), rows=rows)
 
 
-def _monomial_residuals(spec: FamilySpec, betas: list[Rung],
-                        n_range: range, band: int) -> Iterator[dict[int, Window]]:
-    """Yield, for k = 0, 1, 2, ..., the residual windows below n - band of
-    x^k q_n, keyed by the n in n_range with n > band (no lower row exists).
+def _adjoints(betas: Sequence[Rung], m: int, cuts: range, width: int) -> Iterator[tuple]:
+    """(c, lo, phis, L) per cut c in cuts, top down: phi_u = a/d on lo..c+width-1
+    for (a, d) in phis, u = lo..c-1 with lo = max(c - m, 0), L the lcm of the d;
+    phi_u maps a window below c + width to its entry at L_u once each q_k,
+    k >= c, is peeled off.  Peeling q_c takes phi_u to phi_u - (b_{c,c-u} /
+    b_{c,0}) phi_c (b_{c,0} != 0: admissible) and adds phi_{c-m} = delta_{c-m};
+    in integers, each (a, d) kept primitive (d may be negative)."""
+    top = cuts[-1] + width
+    lo = max(top - m, 0)
+    phis = [([int(t == u) for t in range(lo, top)], 1) for u in range(lo, top)]
+    for c in reversed(range(cuts.start, top + 1)):
+        if c < top:
+            if c >= m:
+                lo = c - m
+                phis = [([1] + [0] * len(phis[0][0]), 1)] + [([0] + a, d) for a, d in phis]
+            (ac, dc), b = phis.pop(), betas[c][0]
+            ac, p = ac[:min(c + width, top) - lo], b[0] * dc
+            for i, (a, d) in enumerate(phis):
+                q = b[c - lo - i] * d
+                v = [x * p - y * q for x, y in zip(a, ac)]
+                g = gcd(d * p, *v)
+                phis[i] = ([x // g for x in v], d * p // g)
+        if c in cuts:
+            yield c, lo, tuple(phis), lcm(*(d for _, d in phis))
 
-    Each power takes one x-step of the previous power's windows and one
-    back-substitution per row, stopped at n - band.  The ladder betas is
-    extended in place, to n_range.stop - 1 + k just before power k.
-    """
-    top = n_range.stop - 1
-    _extend_ladder(spec, betas, top)
-    ws = {n: _q_window(betas, n) for n in n_range if n > band}
-    for k in count():
-        if k:
-            ws = {n: _x_step(spec.alpha, *w) for n, w in ws.items()}
-            _extend_ladder(spec, betas, top + k)
-        yield {n: _back_substitute(*w, betas, n - band)[1] for n, w in ws.items()}
+
+def _residual(v: Window, lo: int, phis: Sequence[tuple[list[int], int]], L: int) -> Window:
+    """v's residual window below c: its entries below lo, then phi_u . v for
+    each (a, d) of _adjoints, all over L, with the content taken out."""
+    wlo, w, den = v
+    r = [x * L for x in w[:max(lo - wlo, 0)]]
+    r += [sum(map(mul, a[max(wlo - lo, 0):], w[max(lo - wlo, 0):])) * (L // d) for a, d in phis]
+    g = gcd(den * L, *r)
+    return min(wlo, lo), [x // g for x in r], den * L // g
+
+
+def _monomial_residuals(spec: FamilySpec, betas: list[Rung], n_range: range,
+                        band: int, powers: int) -> list[dict[int, Window]]:
+    """For k < powers, the residual windows below n - band of x^k q_n, keyed
+    by the n in n_range with n > band: _adjoints over their cuts, then per row
+    and power an x-step and m dot products.  Extends betas to n_range.stop - 2 + powers."""
+    _extend_ladder(spec, betas, n_range.stop - 2 + powers)
+    residuals: list[dict[int, Window]] = [{} for _ in range(powers)]
+    cuts = range(max(n_range.start, band + 1) - band, n_range.stop - band)
+    for c, *adj in (_adjoints(betas, spec.m, cuts, band + powers) if cuts else ()):
+        w = _q_window(betas, c + band)
+        for k, res in enumerate(residuals):
+            w = _x_step(spec.alpha, *w) if k else w
+            res[c + band] = _residual(w, *adj)
+    return [dict(reversed(res.items())) for res in residuals]  # rows ascending
 
 
 def _first_outside(table: RecurrenceTable, lo: int,
@@ -251,8 +274,7 @@ def three_term_test(spec: FamilySpec, nmax: int) -> ThreeTermResult:
                                failure=f"gamma_({n},{j}) = {rat_str(v)} != 0")
     for n in range(1, nmax + 1):
         if c[n] == 0:
-            return ThreeTermResult(nmax, False, a, b, c,
-                                   failure=f"c_{n} = 0")
+            return ThreeTermResult(nmax, False, a, b, c, failure=f"c_{n} = 0")
     if nmax < 2:
         return ThreeTermResult(nmax, False, a, b, c,
                                failure="nothing certified: needs nmax >= 2")
@@ -284,13 +306,8 @@ def obstruction_test(spec: FamilySpec, Q: Poly, n_check: int = 20) -> Obstructio
         # admit Q = x despite witnesses
         raise ValueError(
             "obstruction test needs alpha - maxG != 0, -1, -2, ...")
-    u = Q.valuation()
-    witness = None
-    gset = set(spec.G)
-    for g in spec.G:
-        if g - u >= 0 and (g - u) not in gset:
-            witness = g
-            break
+    u, gset = Q.valuation(), set(spec.G)
+    witness = next((g for g in spec.G if g - u >= 0 and g - u not in gset), None)
     if witness is None:
         return ObstructionResult(False)
     table = recurrence_table(spec, Q, n_check)
@@ -307,11 +324,10 @@ class AlgebraProbeResult:
     band: int
     n_max: int
     basis: list[Poly]
-    # the family probed, which reverify_probe re-checks on; the engine's beta
-    # ladder for k <= n_max + degree_cap, which it extends instead of
-    # recomputing; and the integer rows the basis solves (_constraint_rows of
-    # rows band < n <= n_max), which it checks again.  As _-prefixed fields
-    # they stay out of repr and ==
+    # the family probed, which reverify_probe re-checks on; the beta ladder for
+    # k <= n_max + degree_cap, which it extends, not recomputes; and the integer
+    # rows the basis solves (_constraint_rows of rows band < n <= n_max), which
+    # it checks again.  As _-prefixed fields they stay out of repr and ==
     _spec: FamilySpec
     _betas: list[Rung]
     _rows: list[list[int]]
@@ -339,15 +355,13 @@ def algebra_probe(spec: FamilySpec, d: int, band: int | None = None,
     """Canonical basis of {Q : deg Q <= d, gamma_{n,j}(Q) = 0 for j < -band,
     all n <= n_max}.
 
-    Row n's coefficients below the band vanish iff the residual of Q q_n
-    below n - band, sum_{t < n-band} gamma_{n,t-n} q_t in the Laguerre
-    basis, is zero: the q_t are triangular with nonzero leading Laguerre
-    coefficients Omega(t).  The residual is linear in Q, so its entries,
-    read off the residuals of x^0..x^d (built in one pass over one beta
-    ladder), span the same functionals as those gamma_{n,j}, in at most
-    m + max(0, d - band) rows per n; the reduced-echelon nullspace basis
-    (pivots in ascending degree, constant polynomial first) is returned.
-    Defaults: band = d, n_max = 2d + maxG + 10.
+    Row n holds no coefficient below -band iff the residual of Q q_n below
+    n - band is zero (module docstring).  It is linear in Q, so the
+    residuals of x^0..x^d (_monomial_residuals, over one beta ladder) give
+    rows spanning the same functionals as those gamma_{n,j}, at most
+    m + max(0, d - band) per n; the reduced-echelon nullspace basis (pivots
+    in ascending degree, constant polynomial first) is returned.  Defaults:
+    band = d, n_max = 2d + maxG + 10.
     """
     if d < 0:
         raise ValueError("degree cap must be >= 0")
@@ -356,8 +370,7 @@ def algebra_probe(spec: FamilySpec, d: int, band: int | None = None,
     if B < 0 or N < 0:
         raise ValueError(f"band and n_max must be >= 0, got band={B}, n_max={N}")
     betas: list[Rung] = []
-    residuals = islice(_monomial_residuals(spec, betas, range(N + 1), B), d + 1)
-    rows = _constraint_rows(list(residuals), B)
+    rows = _constraint_rows(_monomial_residuals(spec, betas, range(N + 1), B, d + 1), B)
     if not rows:
         basis = [Poly.monomial(k) for k in range(d + 1)]
     else:
@@ -370,14 +383,13 @@ def reverify_probe(result: AlgebraProbeResult, extra: int = 10) -> bool:
     """Re-check every probe basis element on rows 0..n_max + extra of the
     family the probe ran on: no coefficient below -band may appear.
 
-    Rows n_max+1..n_max+extra get their constraint rows as the probe's own
-    did, over the probe's beta ladder, with powers up to the largest basis
-    degree, so the ladder reaches n_max + extra + that degree and no
-    further.  Each basis element Q passes when its coefficients, cleared of
-    denominators, dot to 0 with every new row and with every row of the
-    probe's own system, which re-checks the solver's nullspace.  False when
-    n_max + extra <= band: only a row n > band can hold a coefficient below
-    -band, so nothing would be checked.
+    Rows n_max+1..n_max+extra get constraint rows as the probe's did, over
+    its beta ladder, from x^0..x^top, top the largest basis degree, so the
+    functionals and the ladder reach n_max + extra + top and no further.  Q
+    passes when its cleared coefficients dot to 0 with every new row and
+    every row of the probe's own system (which re-checks the solver).  False
+    when n_max + extra <= band: only a row n > band can hold a coefficient
+    below -band, so nothing would be checked.
     """
     if extra < 0:
         raise ValueError(f"extra must be >= 0, got {extra}")
@@ -385,9 +397,9 @@ def reverify_probe(result: AlgebraProbeResult, extra: int = 10) -> bool:
     if N <= result.band:
         return False
     top = max(Q.degree for Q in result.basis)
-    more = islice(_monomial_residuals(result._spec, list(result._betas),
-                                      range(result.n_max + 1, N + 1), result.band), top + 1)
-    rows = result._rows + _constraint_rows(list(more), result.band)
+    more = _monomial_residuals(result._spec, list(result._betas),
+                               range(result.n_max + 1, N + 1), result.band, top + 1)
+    rows = result._rows + _constraint_rows(more, result.band)
     for Q in result.basis:
         a = clear_denominators(Q.coeffs)[1]
         if any(sum(map(mul, a, row)) for row in rows):
@@ -434,14 +446,10 @@ def rho_recurrence(spec: FamilySpec, p: Poly, nmax: int) -> RhoRecurrenceResult:
     band_ok = _first_outside(table, -s, s) is None
     extremes_from = None
     if band_ok and nmax >= s:
-        n0 = None
-        for n in range(s, nmax + 1):
-            if table.gamma(n, s) != 0 and table.gamma(n, -s) != 0:
-                if n0 is None:
-                    n0 = n
-            else:
-                n0 = None
-        extremes_from = n0
+        # the first n from which both extremes are nonzero through nmax
+        bad = [n for n in range(s, nmax + 1) if table.gamma(n, s) == 0 or table.gamma(n, -s) == 0]
+        n0 = bad[-1] + 1 if bad else s
+        extremes_from = n0 if n0 <= nmax else None
     return RhoRecurrenceResult(rho=rho, band=s, table=table, band_ok=band_ok,
                                extremes_from=extremes_from,
                                passed=band_ok and extremes_from is not None)

@@ -18,8 +18,9 @@ from casolag import (BilinearForm, FamilySpec, Poly, algebra_probe, beta,
                      match_krall_parameters, obstruction_test, omega,
                      ortho_check, parse_poly, q_poly, recurrence_table,
                      render, reverify_probe, three_term_test, u_function,
-                     u_function_alt, verify_band)
+                     verify_band)
 
+from test_forms import u_function_alt
 from test_poly import deriv
 from test_special import combinatorial_identity_check
 

@@ -8,6 +8,10 @@ reference_det.  The fast paths clear denominators and eliminate
 fraction-free on integers (linalg.det_int), so they share no arithmetic
 with these references.
 
+`reference_minors_beta` is family.beta as it was before it took its minors
+from one elimination (linalg.maximal_minors): one det_int per deleted
+column of the integer value matrix.
+
 `reference_q_rung` is the old family.q_rung: beta's m + 1 determinants at
 every n.  family.q_rung takes them only for n <= D = deg Omega and the
 later rows by backward differences, so the two agree past D only if every
@@ -20,8 +24,9 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from casolag import DegenerateFamily, FamilySpec, Poly, beta, family
-from casolag.linalg import det_int
+from casolag.linalg import det_int, maximal_minors
 from casolag.poly import clear_denominators
+from casolag.special import _shifted_values
 
 from test_expansion_reference import FAMILIES
 
@@ -54,10 +59,35 @@ def reference_beta(spec, n):
         for j in range(m + 1))
 
 
+def reference_minors(M):
+    return [(-1) ** j * det_int([row[:j] + row[j + 1:] for row in M]) for j in range(len(M) + 1)]
+
+
+def reference_minors_beta(spec, n):
+    scale, vals = _shifted_values(spec.seeds(), n, spec.m + 1)
+    return tuple(F(v, scale) for v in reference_minors(vals))
+
+
 def test_beta_matches_reference_on_golden_families():
     for spec in FAMILIES.values():
         for n in range(40):
             assert beta(spec, n).values == reference_beta(spec, n)
+            assert beta(spec, n).values == reference_minors_beta(spec, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-3, 3), min_size=m + 1, max_size=m + 1),
+                       min_size=m, max_size=m)), st.data())
+def test_maximal_minors_match_reference(M, data):
+    # half of the draws repeat a row or scale one, so the matrix is
+    # rank-deficient and every minor is 0
+    if data.draw(st.booleans(), label="deficient") and len(M) > 1:
+        i, j = data.draw(st.permutations(range(len(M))), label="rows")[:2]
+        f = data.draw(st.integers(-2, 2), label="factor")
+        M[i] = [f * v for v in M[j]]
+        assert reference_minors(M) == [0] * (len(M) + 1)
+    assert maximal_minors(M) == reference_minors(M)
 
 
 coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -77,6 +107,7 @@ def families(draw):
 @given(families(), st.integers(0, 30))
 def test_beta_matches_reference(spec, n):
     assert beta(spec, n).values == reference_beta(spec, n)
+    assert beta(spec, n).values == reference_minors_beta(spec, n)
 
 
 small = st.one_of(st.just(F(0)), coeff)

@@ -19,10 +19,22 @@ steps as they were on `Fraction` windows (lo, w), dividing by beta_{k,0} at
 every step.  The engine now runs them fraction-free on integer windows
 (lo, w, den) over a primitive integer beta ladder; both must give the same
 rationals.
+
+`reference_monomial_residuals` is how the probe built its residuals below
+the band before it used adjoint functionals: one integer back-substitution
+per row and power, stopped at n - band (`reference_int_back_substitute`,
+the engine's back-substitution as it was then, residual window and all).
+The engine now builds the m functionals of each row's cut, top down
+(`_adjoints`), and dots them with each power's window (`_residual`); both
+must give the same rationals, the same constraint rows and the same
+DegenerateFamily.  Where the old back-substitution never wrote below some
+index it left that entry out of the window, and the engine keeps it as an
+exact 0, so windows compare as maps from index to nonzero rational.
 """
 
 import math
 from fractions import Fraction as F
+from itertools import count, islice
 
 from hypothesis import given, settings, strategies as st
 
@@ -30,8 +42,9 @@ from casolag import (DegenerateFamily, FamilySpec, Poly, algebra_probe, beta,
                      degenerate_preset, krall_preset, parse_poly,
                      q_poly, recurrence_table, reverify_probe)
 from casolag.poly import clear_denominators
-from casolag.recurrence import (_back_substitute, _coefficients, _extend_ladder,
-                                _first_outside, _monomial_residuals, _x_step)
+from casolag.recurrence import (_adjoints, _back_substitute, _coefficients,
+                                _constraint_rows, _extend_ladder, _first_outside,
+                                _monomial_residuals, _q_window, _residual, _x_step)
 
 from test_linalg import reference_solve
 
@@ -108,6 +121,70 @@ def reference_back_substitute(lo, w, betas, stop=0):
 def as_fractions(window):
     lo, w, den = window
     return lo, [F(v, den) for v in w]
+
+
+def terms(lo, values):
+    """{t: value} of a window's nonzero entries, from lo up."""
+    return {t: v for t, v in enumerate(values, lo) if v}
+
+
+def as_terms(window):
+    return terms(*as_fractions(window))
+
+
+def reference_int_back_substitute(lo, w, den, betas, stop=0):
+    """Peel the q_k off sum_i (w_i / den) L_{lo+i}, top down, for every
+    k >= stop, in integers: the tops (lo_c, [(e_k, den_k)]) and the residual
+    window below stop, with its content taken out."""
+    hi = lo + len(w)
+    rest = list(reversed(w))
+    dens = [den] * len(rest)
+    tops = []
+    i = 0
+    while i < len(rest) and hi - 1 - i >= stop:
+        e = rest[i]
+        if e and dens[i] != den:
+            e *= den // dens[i]
+        tops.append((e, den))
+        if e:
+            b = betas[hi - 1 - i][0]
+            g = math.gcd(e, b[0])
+            den *= b[0] // g
+            e //= g
+            for j in range(1, len(b)):
+                if i + j < len(rest):
+                    rest[i + j] = rest[i + j] * (den // dens[i + j]) - e * b[j]
+                    dens[i + j] = den
+                else:
+                    rest.append(-e * b[j])
+                    dens.append(den)
+        i += 1
+    r = [v * (den // d) if v else 0 for v, d in zip(rest[i:], dens[i:])][::-1]
+    g = math.gcd(den, *r)
+    return (hi - i, tops[::-1]), (hi - len(rest), [v // g for v in r], den // g)
+
+
+def reference_monomial_residuals(spec, betas, n_range, band):
+    """Yield, for k = 0, 1, 2, ..., the residual windows below n - band of
+    x^k q_n, keyed by the n in n_range with n > band, each from one
+    back-substitution stopped at n - band; betas is extended to
+    n_range.stop - 1 + k just before power k."""
+    top = n_range.stop - 1
+    _extend_ladder(spec, betas, top)
+    ws = {n: _q_window(betas, n) for n in n_range if n > band}
+    for k in count():
+        if k:
+            ws = {n: _x_step(spec.alpha, *w) for n, w in ws.items()}
+            _extend_ladder(spec, betas, top + k)
+        yield {n: reference_int_back_substitute(*w, betas, n - band)[1] for n, w in ws.items()}
+
+
+def engine_residual(spec, betas, window, stop):
+    """The engine's residual window below stop of an integer window whose
+    top index is below the top of betas: _residual over _adjoints' one cut."""
+    width = window[0] + len(window[1]) - stop
+    [(_, *adj)] = _adjoints(betas, spec.m, range(stop, stop + 1), width)
+    return _residual(window, *adj)
 
 
 def reference_expand(p, qs):
@@ -189,15 +266,15 @@ def test_reverify_matches_reference(name, d, data):
     # each monomial residual, back-substituted to index 0, is that row's
     # part of the monomial's table below -band
     betas = []
-    residuals = _monomial_residuals(spec, betas, range(res.n_max + 1), res.band)
-    for k, windows in zip(range(d + 1), residuals):
+    residuals = _monomial_residuals(spec, betas, range(res.n_max + 1), res.band, d + 1)
+    for k, windows in enumerate(residuals):
         table = recurrence_table(spec, Poly.monomial(k), res.n_max)
         for n, row in table.rows.items():
             below = {j: g for j, g in row.items() if j < -res.band}
             if n not in windows:
                 assert below == {}
                 continue
-            lo, c = _coefficients(_back_substitute(*windows[n], betas)[0], betas)
+            lo, c = _coefficients(_back_substitute(*windows[n], betas), betas)
             assert {t - n: g for t, g in enumerate(c, lo) if g != 0} == below
     assert reverify_probe(res, extra) == reference_reverify(spec, res, extra)
 
@@ -222,10 +299,10 @@ def test_integer_engine_matches_fraction_reference(name, lo, w, data):
     stop = data.draw(st.integers(0, xlo + len(xw)), label="stop")
     rungs = _extend_ladder(spec, [], xlo + len(xw) - 1)
     rows = [fraction_rung(spec, k) for k in range(len(rungs))]
-    c, r = _back_substitute(*_x_step(spec.alpha, lo, ints, den), rungs, stop)
-    ref_c, ref_r = reference_back_substitute(xlo, xw, rows, stop)
-    assert _coefficients(c, rungs) == ref_c
-    assert as_fractions(r) == ref_r
+    c = _back_substitute(*_x_step(spec.alpha, lo, ints, den), rungs)
+    assert _coefficients(c, rungs) == reference_back_substitute(xlo, xw, rows)[0]
+    r = engine_residual(spec, rungs, _x_step(spec.alpha, lo, ints, den), stop)
+    assert as_terms(r) == terms(*reference_back_substitute(xlo, xw, rows, stop)[1])
     # the residual's content is taken out
     assert math.gcd(r[2], *r[1]) == 1
 
@@ -253,7 +330,46 @@ def test_integer_engine_peels_exact_combinations(name, top, cs, tail, data):
     stop = data.draw(st.integers(0, top + 1), label="stop")
     den, ints = clear_denominators(window)
     rungs = _extend_ladder(spec, [], top)
-    c, r = _back_substitute(lo, ints, den, rungs, stop)
-    ref_c, ref_r = reference_back_substitute(lo, window, rows, stop)
-    assert _coefficients(c, rungs) == ref_c
-    assert as_fractions(r) == ref_r
+    c = _back_substitute(lo, ints, den, rungs)
+    assert _coefficients(c, rungs) == reference_back_substitute(lo, window, rows)[0]
+    r = engine_residual(spec, rungs, (lo, ints, den), stop)
+    assert as_terms(r) == terms(*reference_back_substitute(lo, window, rows, stop)[1])
+
+
+# Omega(x) = x - 10: q_0..q_9 exist, q_10 would lose degree
+VANISHING = FamilySpec(F(7), (1,), {1: parse_poly("x-9")})
+
+
+def outcome(run):
+    try:
+        return run()
+    except DegenerateFamily as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES) + ["vanishing"]), st.integers(0, 8), st.data())
+def test_monomial_residuals_match_reference(name, d, data):
+    spec = FAMILIES.get(name, VANISHING)
+    band = data.draw(st.integers(0, d), label="band")
+    n_max = data.draw(st.integers(0, 2 * d + spec.max_g + 10), label="n_max")
+    ref = outcome(lambda: list(islice(
+        reference_monomial_residuals(spec, [], range(n_max + 1), band), d + 1)))
+    new = outcome(lambda: _monomial_residuals(spec, [], range(n_max + 1), band, d + 1))
+    if isinstance(ref, str):
+        assert new == ref
+        return
+    assert len(new) == d + 1
+    for windows, ref_windows in zip(new, ref):
+        assert list(windows) == list(ref_windows)
+        assert {n: as_terms(w) for n, w in windows.items()} == \
+            {n: as_terms(w) for n, w in ref_windows.items()}
+    assert _constraint_rows(new, band) == _constraint_rows(ref, band)
+    # and the Fraction back-substitution of x^k q_n, stopped at n - band
+    rows = [fraction_rung(spec, t) for t in range(n_max + d + 1)]
+    for n in new[0]:
+        lo, w = n + 1 - len(rows[n]), list(reversed(rows[n]))
+        for windows in new:
+            ref_r = reference_back_substitute(lo, w, rows, n - band)[1]
+            assert as_terms(windows[n]) == terms(*ref_r)
+            lo, w = reference_x_step(spec.alpha, lo, w)

@@ -6,11 +6,24 @@ from hypothesis import given, settings, strategies as st
 
 import casolag.forms
 from casolag import (BilinearForm, DegenerateFamily, FamilySpec, InconsistentSystem,
-                     KappaMatrix, Poly, VariantError, binom_rat, closed_form_moment,
-                     kappa_matrix, kappa_solve, laguerre, ortho_check, parse_poly, poch,
-                     q_poly, solve_linear, u_function, u_function_alt)
-from casolag.forms import _seed_weights, _seed_ws
+                     KappaMatrix, LaurentPoly, Poly, VariantError, binom_rat,
+                     closed_form_moment, kappa_matrix, kappa_solve, laguerre, ortho_check,
+                     parse_poly, poch, q_poly, solve_linear, u_function)
+from casolag.forms import _row_weights, _seed_weights, _seed_ws
 from casolag.special import to_binomial_basis
+
+
+def u_function_alt(spec, kappa_row, i):
+    """Collapsed form of u_function, valid when kappa_row annihilates the
+    seed values at -1..-(m-1-i): the powers above x^(i-m) cancel and
+
+        U_i = -x^(i-m) + sum_{l=m-i-1}^{maxG} (alpha-l)_l W[l] x^(-l-1).
+    """
+    W = _row_weights(spec, kappa_row)
+    return LaurentPoly.from_terms(
+        [(i - spec.m, -1)]
+        + [(-l - 1, poch(spec.alpha - l, l) * W[l])
+           for l in range(max(spec.m - i - 1, 0), spec.max_g + 1)])
 
 
 def eval_seed_sum(spec, kappa_row, x):

@@ -12,7 +12,7 @@ from casolag import (BilinearForm, FamilySpec, LaurentPoly, Poly,
                      VariantError, ortho_check, parse_poly, poch, q_poly)
 from casolag.special import to_binomial_basis
 
-from test_poly import deriv
+from test_poly import deriv, of_poly
 
 
 def gamma_ratio(alpha, s):
@@ -57,7 +57,7 @@ def reference_inner(form, p, q, corrections):
         qi = q.coeff(i)
         if qi == 0:
             continue
-        prod = LaurentPoly.of_poly(p) * corrections[i]
+        prod = of_poly(p) * corrections[i]
         for t, c in prod.terms():
             total += qi * c * gamma_ratio(alpha, t + 1)
         if form.variant == "xi":

@@ -50,29 +50,31 @@ def test_reverify_ladder_stops_at_basis_degree(tmp_path, capsys):
 
 def test_probe_sends_only_the_window_below_the_band(nonsegment_spec, monkeypatch):
     """At d = 8 (the benchmark's generic family and job size) each row n
-    adds at most m + max(0, d - B) constraint rows, and no back-substitution
-    processes more than the d + B + 1 indices from n + d down to n - B."""
+    adds at most m + max(0, d - B) constraint rows, and each row n > B takes
+    its functionals once, m of them (fewer only while n - B < m), each over
+    no more than the d + B + 1 indices from n - B up to n + d."""
     spec, d = nonsegment_spec, 8
     B, N = d, 2 * d + spec.max_g + 10
-    sent, widest = [], 0
-    solve, back = casolag.recurrence.solve_linear, casolag.recurrence._back_substitute
+    sent, cuts = [], []
+    solve, adjoints = casolag.recurrence.solve_linear, casolag.recurrence._adjoints
 
     def counted_solve(rows, b):
         sent.append(len(rows))
         return solve(rows, b)
 
-    def counted_back(*args):
-        nonlocal widest
-        out = back(*args)
-        widest = max(widest, len(out[0][1]))
-        return out
+    def counted_adjoints(*args):
+        for c, lo, phis, L in adjoints(*args):
+            cuts.append((c, [len(a) - (c - lo) for a, _ in phis]))
+            yield c, lo, phis, L
 
     monkeypatch.setattr(casolag.recurrence, "solve_linear", counted_solve)
-    monkeypatch.setattr(casolag.recurrence, "_back_substitute", counted_back)
+    monkeypatch.setattr(casolag.recurrence, "_adjoints", counted_adjoints)
     res = algebra_probe(spec, d)
     assert res.n_max == N and res.dimension == 6
     assert len(sent) == 1 and sent[0] <= (N + 1) * (spec.m + max(0, d - B))
-    assert 0 < widest <= d + B + 1
+    assert sorted(c + B for c, _ in cuts) == list(range(B + 1, N + 1))
+    assert all(len(ks) == min(spec.m, c) and all(0 < k <= d + B + 1 for k in ks)
+               for c, ks in cuts)
 
 
 def test_identity_operator(nonsegment_spec):
