@@ -274,7 +274,8 @@ def three_term_test(spec: FamilySpec, nmax: int) -> ThreeTermResult:
                                failure=f"gamma_({n},{j}) = {rat_str(v)} != 0")
     for n in range(1, nmax + 1):
         if c[n] == 0:
-            return ThreeTermResult(nmax, False, a, b, c, failure=f"c_{n} = 0")
+            return ThreeTermResult(nmax, False, a, b, c,
+                                   failure=f"c_{n} = 0")
     if nmax < 2:
         return ThreeTermResult(nmax, False, a, b, c,
                                failure="nothing certified: needs nmax >= 2")
@@ -306,8 +307,13 @@ def obstruction_test(spec: FamilySpec, Q: Poly, n_check: int = 20) -> Obstructio
         # admit Q = x despite witnesses
         raise ValueError(
             "obstruction test needs alpha - maxG != 0, -1, -2, ...")
-    u, gset = Q.valuation(), set(spec.G)
-    witness = next((g for g in spec.G if g - u >= 0 and g - u not in gset), None)
+    u = Q.valuation()
+    witness = None
+    gset = set(spec.G)
+    for g in spec.G:
+        if g - u >= 0 and (g - u) not in gset:
+            witness = g
+            break
     if witness is None:
         return ObstructionResult(False)
     table = recurrence_table(spec, Q, n_check)
@@ -324,10 +330,11 @@ class AlgebraProbeResult:
     band: int
     n_max: int
     basis: list[Poly]
-    # the family probed, which reverify_probe re-checks on; the beta ladder for
-    # k <= n_max + degree_cap, which it extends, not recomputes; and the integer
-    # rows the basis solves (_constraint_rows of rows band < n <= n_max), which
-    # it checks again.  As _-prefixed fields they stay out of repr and ==
+    # the family probed, which reverify_probe re-checks on; the engine's beta
+    # ladder for k <= n_max + degree_cap, which it extends instead of
+    # recomputing; and the integer rows the basis solves (_constraint_rows of
+    # rows band < n <= n_max), which it checks again.  As _-prefixed fields
+    # they stay out of repr and ==
     _spec: FamilySpec
     _betas: list[Rung]
     _rows: list[list[int]]
@@ -355,13 +362,15 @@ def algebra_probe(spec: FamilySpec, d: int, band: int | None = None,
     """Canonical basis of {Q : deg Q <= d, gamma_{n,j}(Q) = 0 for j < -band,
     all n <= n_max}.
 
-    Row n holds no coefficient below -band iff the residual of Q q_n below
-    n - band is zero (module docstring).  It is linear in Q, so the
-    residuals of x^0..x^d (_monomial_residuals, over one beta ladder) give
-    rows spanning the same functionals as those gamma_{n,j}, at most
-    m + max(0, d - band) per n; the reduced-echelon nullspace basis (pivots
-    in ascending degree, constant polynomial first) is returned.  Defaults:
-    band = d, n_max = 2d + maxG + 10.
+    Row n's coefficients below the band vanish iff the residual of Q q_n
+    below n - band, sum_{t < n-band} gamma_{n,t-n} q_t in the Laguerre
+    basis, is zero: the q_t are triangular with nonzero leading Laguerre
+    coefficients Omega(t).  The residual is linear in Q, so its entries,
+    read off the residuals of x^0..x^d (_monomial_residuals: m functionals
+    per row, over one beta ladder), span the same functionals as those
+    gamma_{n,j}, in at most m + max(0, d - band) rows per n; the
+    reduced-echelon nullspace basis (pivots in ascending degree, constant
+    polynomial first) is returned.  Defaults: band = d, n_max = 2d + maxG + 10.
     """
     if d < 0:
         raise ValueError("degree cap must be >= 0")
@@ -383,13 +392,14 @@ def reverify_probe(result: AlgebraProbeResult, extra: int = 10) -> bool:
     """Re-check every probe basis element on rows 0..n_max + extra of the
     family the probe ran on: no coefficient below -band may appear.
 
-    Rows n_max+1..n_max+extra get constraint rows as the probe's did, over
-    its beta ladder, from x^0..x^top, top the largest basis degree, so the
-    functionals and the ladder reach n_max + extra + top and no further.  Q
-    passes when its cleared coefficients dot to 0 with every new row and
-    every row of the probe's own system (which re-checks the solver).  False
-    when n_max + extra <= band: only a row n > band can hold a coefficient
-    below -band, so nothing would be checked.
+    Rows n_max+1..n_max+extra get their constraint rows as the probe's own
+    did, over the probe's beta ladder, with powers up to the largest basis
+    degree, so the functionals and the ladder reach n_max + extra + that
+    degree and no further.  Each basis element Q passes when its
+    coefficients, cleared of denominators, dot to 0 with every new row and
+    with every row of the probe's own system, which re-checks the solver's
+    nullspace.  False when n_max + extra <= band: only a row n > band can
+    hold a coefficient below -band, so nothing would be checked.
     """
     if extra < 0:
         raise ValueError(f"extra must be >= 0, got {extra}")
@@ -446,10 +456,14 @@ def rho_recurrence(spec: FamilySpec, p: Poly, nmax: int) -> RhoRecurrenceResult:
     band_ok = _first_outside(table, -s, s) is None
     extremes_from = None
     if band_ok and nmax >= s:
-        # the first n from which both extremes are nonzero through nmax
-        bad = [n for n in range(s, nmax + 1) if table.gamma(n, s) == 0 or table.gamma(n, -s) == 0]
-        n0 = bad[-1] + 1 if bad else s
-        extremes_from = n0 if n0 <= nmax else None
+        n0 = None
+        for n in range(s, nmax + 1):
+            if table.gamma(n, s) != 0 and table.gamma(n, -s) != 0:
+                if n0 is None:
+                    n0 = n
+            else:
+                n0 = None
+        extremes_from = n0
     return RhoRecurrenceResult(rho=rho, band=s, table=table, band_ok=band_ok,
                                extremes_from=extremes_from,
                                passed=band_ok and extremes_from is not None)

@@ -29,7 +29,8 @@ The engine now builds the m functionals of each row's cut, top down
 must give the same rationals, the same constraint rows and the same
 DegenerateFamily.  Where the old back-substitution never wrote below some
 index it left that entry out of the window, and the engine keeps it as an
-exact 0, so windows compare as maps from index to nonzero rational.
+exact 0, so windows compare as maps from index to nonzero rational, and
+the engine's own shape is pinned exactly (`assert_residual`).
 """
 
 import math
@@ -130,6 +131,17 @@ def terms(lo, values):
 
 def as_terms(window):
     return terms(*as_fractions(window))
+
+
+def assert_residual(r, window_lo, stop, m, ref_terms):
+    """r is the engine's residual below stop of a window from window_lo:
+    exactly the entries at L_lo..L_{stop-1}, lo = min(window_lo,
+    max(stop - m, 0)), over a positive den with the content taken out, and
+    its nonzero entries are ref_terms."""
+    lo = min(window_lo, max(stop - m, 0))
+    assert (r[0], len(r[1])) == (lo, stop - lo)
+    assert r[2] > 0 and math.gcd(r[2], *r[1]) == 1
+    assert as_terms(r) == ref_terms
 
 
 def reference_int_back_substitute(lo, w, den, betas, stop=0):
@@ -302,9 +314,8 @@ def test_integer_engine_matches_fraction_reference(name, lo, w, data):
     c = _back_substitute(*_x_step(spec.alpha, lo, ints, den), rungs)
     assert _coefficients(c, rungs) == reference_back_substitute(xlo, xw, rows)[0]
     r = engine_residual(spec, rungs, _x_step(spec.alpha, lo, ints, den), stop)
-    assert as_terms(r) == terms(*reference_back_substitute(xlo, xw, rows, stop)[1])
-    # the residual's content is taken out
-    assert math.gcd(r[2], *r[1]) == 1
+    assert_residual(r, xlo, stop, spec.m,
+                    terms(*reference_back_substitute(xlo, xw, rows, stop)[1]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -333,7 +344,8 @@ def test_integer_engine_peels_exact_combinations(name, top, cs, tail, data):
     c = _back_substitute(lo, ints, den, rungs)
     assert _coefficients(c, rungs) == reference_back_substitute(lo, window, rows)[0]
     r = engine_residual(spec, rungs, (lo, ints, den), stop)
-    assert as_terms(r) == terms(*reference_back_substitute(lo, window, rows, stop)[1])
+    assert_residual(r, lo, stop, spec.m,
+                    terms(*reference_back_substitute(lo, window, rows, stop)[1]))
 
 
 # Omega(x) = x - 10: q_0..q_9 exist, q_10 would lose degree
@@ -371,5 +383,5 @@ def test_monomial_residuals_match_reference(name, d, data):
         lo, w = n + 1 - len(rows[n]), list(reversed(rows[n]))
         for windows in new:
             ref_r = reference_back_substitute(lo, w, rows, n - band)[1]
-            assert as_terms(windows[n]) == terms(*ref_r)
+            assert_residual(windows[n], lo, n - band, spec.m, terms(*ref_r))
             lo, w = reference_x_step(spec.alpha, lo, w)
